@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hoe import DEFAULT_RANK_TOL, nullspace
 from .models import TermBasis, term_amplitudes
 from .spectral import SteadyState
-
-DEFAULT_RANK_TOL = 1e-10
 
 
 class DegenerateRecoveryError(RuntimeError):
@@ -106,20 +105,15 @@ def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) 
     qmat = np.asarray(qmat, dtype=float)
     if qmat.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {qmat.shape}")
-    n_rows, n_cols = qmat.shape
-    if not 0 < n_params < n_cols:
-        raise ValueError(f"n_params={n_params} incompatible with {n_cols} columns")
+    if not 0 < n_params < qmat.shape[1]:
+        raise ValueError(f"n_params={n_params} incompatible with {qmat.shape[1]} columns")
     if not np.any(qmat):
         raise ValueError("constraint matrix is identically zero")
-    _, sigma, vt = np.linalg.svd(qmat, full_matrices=True)
-    x = vt[-1]
+    rank, gap, sigma_min, x = nullspace(qmat, tol_rel)
     a_raw = x[:n_params]
     norm_a = np.linalg.norm(a_raw)
     if norm_a < 1e-12:
         raise DegenerateRecoveryError("null vector has no coefficient component")
-    rank = int(np.count_nonzero(sigma > tol_rel * sigma[0]))
-    gap = n_cols - (rank + 1)
-    sigma_min = float(sigma[-1]) if n_rows >= n_cols else 0.0
     return JointRecovery(
         coefficients=a_raw / norm_a,
         eigenvalues=x[n_params:] / norm_a,

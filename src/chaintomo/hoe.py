@@ -100,15 +100,26 @@ def constraint_matrix(
     return g
 
 
-def numeric_rank(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> int:
-    """Count of singular values above tol_rel times the largest one."""
-    if tol_rel <= 0:
+def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, int, float, np.ndarray]:
+    """Numeric rank, ambiguity gap, smallest singular value and null vector.
+
+    Rank counts singular values above tol_rel * sigma_0; gap = columns - rank - 1.
+    A tall matrix is reduced to its QR R factor first: same singular values and
+    right-singular vectors, and no tall left factor. A wide one keeps the full
+    V^T, whose trailing rows span its nullspace; its sigma_min is exactly 0.
+    """
+    if not tol_rel > 0:
         raise ValueError(f"tol_rel must be positive, got {tol_rel}")
     m = np.atleast_2d(np.asarray(m))
-    sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0:
-        return 0
-    return int(np.count_nonzero(sigma > tol_rel * sigma[0]))
+    n_rows, n_cols = m.shape
+    _, sigma, vt = np.linalg.svd(np.linalg.qr(m, mode="r") if n_rows > n_cols else m)
+    rank = int(np.count_nonzero(sigma > tol_rel * sigma[0]))
+    return rank, n_cols - (rank + 1), float(sigma[-1]) if n_rows >= n_cols else 0.0, vt[-1]
+
+
+def numeric_rank(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> int:
+    """Count of singular values above tol_rel times the largest one."""
+    return nullspace(m, tol_rel)[0]
 
 
 def recover(g: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:
@@ -123,16 +134,9 @@ def recover(g: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:
         raise ValueError(f"expected a matrix, got shape {g.shape}")
     if not np.any(g):
         raise ValueError("constraint matrix is identically zero")
-    n_rows, n_params = g.shape
-    _, sigma, vt = np.linalg.svd(g, full_matrices=True)
-    a = vt[-1]
-    a = a / np.linalg.norm(a)
-    rank = int(np.count_nonzero(sigma > tol_rel * sigma[0]))
-    gap = n_params - (rank + 1)
-    # rows of vt beyond the number of singular values carry exact zeros
-    sigma_min = float(sigma[-1]) if n_rows >= n_params else 0.0
+    rank, gap, sigma_min, a = nullspace(g, tol_rel)
     return RecoveryReport(
-        coefficients=a,
+        coefficients=a / np.linalg.norm(a),
         rank=rank,
         gap=gap,
         sigma_min=sigma_min,

@@ -273,31 +273,62 @@ def _pure_python_solve(a, b):
     return [m[i][n] for i in range(n)]
 
 
+def _commutator_route(g):
+    report = hoe.recover(g)
+    return report.rank, report.coefficients
+
+
+def _joint_route(qmat, n_params):
+    joint = eee.recover(qmat, n_params)
+    return joint.rank, np.concatenate([joint.coefficients, joint.eigenvalues])
+
+
 @pytest.mark.criterion(8)
 def test_svd_nullspace_against_elimination_oracle():
-    # independent route: no numpy linear algebra anywhere in the oracle
+    # independent route: no numpy linear algebra anywhere in the oracle. At
+    # h2 L=2 the joint matrix is wide for q = 1, 2 (8x16, 16x17) and tall for
+    # q = 3 (24x18), so both factorization paths of hoe.nullspace are checked.
+    # All of those joint matrices have dependent rows and nullspaces of several
+    # dimensions, so two more inputs pin the paths down: a wide G of full row
+    # rank (five observables), whose null vectors only the full V^T holds, and
+    # the tall joint matrix at h2 L=3 q=2 (32x29), whose null vector is unique.
+    cases = []
     for q in (1, 2, 3):
-        expected_dim = 15 - H2_RANK[(2, q)]
         for seed in (0, 1, 2):
             basis, _, _, state = _instance("h2", 2, q, seed)
             g = hoe.constraint_matrix(basis, state)
-            g_scale = max(max(abs(v) for v in row) for row in g.tolist())
-            pivots, null_basis = _pure_python_nullspace(g.tolist(), 1e-10 * g_scale)
-            assert len(pivots) == H2_RANK[(2, q)]
-            assert len(null_basis) == expected_dim
-            for vec in null_basis:
-                image = [sum(gr * vr for gr, vr in zip(row, vec)) for row in g.tolist()]
-                norm_vec = math.sqrt(sum(v * v for v in vec))
-                assert max(abs(v) for v in image) <= 1e-8 * g_scale * norm_vec
+            qmat = eee.constraint_matrix(basis, state)
+            cases.append(((q, seed), g, H2_RANK[(2, q)], *_commutator_route(g)))
+            cases.append(((q, seed), qmat, H2_RANK_JOINT[(2, q)], *_joint_route(qmat, basis.n_params)))
+    basis, _, _, state = _instance("h2", 2, 1, 0)
+    wide = hoe.constraint_matrix(basis, state, observables=["XY", "YZ", "ZX", "XX", "IY"])
+    cases.append(("five observables", wide, 5, *_commutator_route(wide)))
+    basis, _, _, state = _instance("h2", 3, 2, 0)
+    qmat = eee.constraint_matrix(basis, state)
+    cases.append(((3, 2, 0), qmat, H2_RANK_JOINT[(3, 2)], *_joint_route(qmat, basis.n_params)))
 
-            recovered = [float(v) for v in hoe.recover(g).coefficients]
-            # least-squares projection onto the enumerated nullspace
-            gram = [[sum(x * y for x, y in zip(u, v)) for v in null_basis] for u in null_basis]
-            rhs = [sum(x * y for x, y in zip(u, recovered)) for u in null_basis]
-            c = _pure_python_solve(gram, rhs)
-            projected = [
-                sum(c[k] * null_basis[k][i] for k in range(len(null_basis)))
-                for i in range(15)
-            ]
-            residual = math.sqrt(sum((p - v) ** 2 for p, v in zip(projected, recovered)))
-            assert residual <= 1e-10, (q, seed, residual)
+    for where, m, expected_rank, rank, vec in cases:
+        rows = m.tolist()
+        n_cols = len(rows[0])
+        scale = max(max(abs(v) for v in row) for row in rows)
+        pivots, null_basis = _pure_python_nullspace(rows, 1e-10 * scale)
+        assert len(pivots) == expected_rank == rank, (where, m.shape)
+        assert len(null_basis) == n_cols - expected_rank
+        for vec_k in null_basis:
+            image = [sum(mr * vr for mr, vr in zip(row, vec_k)) for row in rows]
+            norm_vec = math.sqrt(sum(v * v for v in vec_k))
+            assert max(abs(v) for v in image) <= 1e-8 * scale * norm_vec
+
+        recovered = [float(v) for v in vec]
+        norm_rec = math.sqrt(sum(v * v for v in recovered))
+        recovered = [v / norm_rec for v in recovered]
+        # least-squares projection onto the enumerated nullspace
+        gram = [[sum(x * y for x, y in zip(u, v)) for v in null_basis] for u in null_basis]
+        rhs = [sum(x * y for x, y in zip(u, recovered)) for u in null_basis]
+        c = _pure_python_solve(gram, rhs)
+        projected = [
+            sum(c[k] * null_basis[k][i] for k in range(len(null_basis)))
+            for i in range(n_cols)
+        ]
+        residual = math.sqrt(sum((p - v) ** 2 for p, v in zip(projected, recovered)))
+        assert residual <= 1e-10, (where, m.shape, residual)

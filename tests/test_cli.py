@@ -139,6 +139,8 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+    for tol in ("0", "-1"):
+        assert cli.main(["recover", "--model", "h2", "--L", "4", "--q", "1", "--rank-tol", tol]) == 2
 
 
 def test_version_flag(capsys):

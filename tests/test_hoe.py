@@ -5,13 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
+from chaintomo import eee
 from chaintomo.hoe import (
+    DEFAULT_RANK_TOL,
     constraint_matrix,
+    nullspace,
     numeric_rank,
     reconstruction_error,
     recover,
 )
-from chaintomo.models import assemble, enumerate_terms, sample_params
+from chaintomo.models import MODEL_KINDS, assemble, enumerate_terms, min_length, sample_params
 from chaintomo.pauli import string_matrix
 from chaintomo.spectral import build_steady_state, eig_hermitian
 
@@ -153,6 +156,43 @@ def test_recover_input_validation():
         recover(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         recover(np.ones(4))
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            recover(np.eye(3), tol_rel=tol)
+        with pytest.raises(ValueError):
+            nullspace(np.eye(3), tol_rel=tol)
+
+
+def _full_svd_reference(m):
+    # reference: the SVD of the matrix itself with the full V^T, no R factor
+    _, sigma, vt = np.linalg.svd(m, full_matrices=True)
+    rank = int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
+    return rank, m.shape[1] - (rank + 1), sigma[0], vt[-1]
+
+
+def test_nullspace_matches_full_svd_reference():
+    # every cell of every family up to L = 7, q = 3: the joint matrix is wide
+    # at the smallest cells and tall elsewhere, the commutator one square
+    shapes = set()
+    for kind in MODEL_KINDS:
+        for L in range(min_length(kind), 8):
+            for q in (1, 2, 3):
+                for seed in range(3):
+                    basis, _, _, state = _instance(kind, L, q, seed)
+                    for m in (constraint_matrix(basis, state), eee.constraint_matrix(basis, state)):
+                        rank, gap, sigma_min, vec = nullspace(m)
+                        ref_rank, ref_gap, sigma_0, ref_vec = _full_svd_reference(m)
+                        where = (kind, L, q, seed, m.shape)
+                        assert (rank, gap) == (ref_rank, ref_gap), where
+                        if gap == 0:
+                            sign = 1.0 if np.dot(vec, ref_vec) >= 0 else -1.0
+                            assert np.max(np.abs(vec - sign * ref_vec)) <= 1e-8, where
+                        if m.shape[0] < m.shape[1]:
+                            assert sigma_min == 0.0, where
+                        else:
+                            assert sigma_min <= DEFAULT_RANK_TOL * sigma_0, where
+                        shapes.add(np.sign(m.shape[0] - m.shape[1]))
+    assert shapes == {-1, 0, 1}
 
 
 def test_successful_recovery_cell():

@@ -36,7 +36,7 @@ from .models import (
     sample_params,
     term_amplitudes,
 )
-from .pauli import PauliString, apply_string, commutator, expectation, string_action, string_matrix
+from .pauli import PauliString, action_table, apply_string, commutator, expectation, string_matrix
 from .ranks import (
     CriticalLength,
     RankPrediction,
@@ -75,6 +75,7 @@ __all__ = [
     "SteadyState",
     "TermBasis",
     "TrialRecord",
+    "action_table",
     "apply_string",
     "assemble",
     "build_steady_state",
@@ -101,7 +102,6 @@ __all__ = [
     "run_experiment",
     "run_trial",
     "sample_params",
-    "string_action",
     "string_matrix",
     "term_amplitudes",
 ]

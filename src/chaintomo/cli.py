@@ -79,8 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_recover(args) -> int:
-    if not args.rank_tol > 0:
-        raise harness.ConfigError(f"rank_tol must be positive, got {args.rank_tol}")
+    harness.ExperimentConfig(
+        args.model, (args.L, args.L), (args.q,), seed=args.seed, selection_policy=args.selection,
+        rank_tol=args.rank_tol, methods=tuple(args.methods),
+    ).validate()
     result = harness.recover_instance(
         args.model, args.L, args.q, seed=args.seed, selection=args.selection,
         rank_tol=args.rank_tol, methods=tuple(args.methods),

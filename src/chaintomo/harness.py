@@ -193,7 +193,13 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class AggregateRow:
-    """Per-cell, per-method summary over all accepted trials."""
+    """Per-cell, per-method summary over all accepted trials.
+
+    The δ statistics measure recovery only where the gap is 0. At a cell
+    with gap > 0 the recovered vector is an arbitrary unit element of the
+    nullspace, picked by the factorization, so there only the size of δ
+    (far above the success threshold) means anything.
+    """
 
     model: str
     L: int
@@ -209,6 +215,47 @@ class AggregateRow:
     success_rate: float
 
 
+def draw_instance(model: str, L: int, q: int, seed: int, trial_index: int,
+                  selection: str) -> tuple[models.TermBasis, np.ndarray, spectral.SteadyState | None, int]:
+    """Draw the seeded random instance of one trial: basis, true coefficients, steady state.
+
+    A degenerate eigenvalue pick resamples the Hamiltonian on a fresh retry
+    stream, at most MAX_DEGENERACY_RETRIES times. Returns
+    ``(basis, a_true, state, retry)``; ``state`` is None when every pick was
+    degenerate.
+    """
+    basis = models.enumerate_terms(model, L)
+    for retry in range(MAX_DEGENERACY_RETRIES + 1):
+        param_stream, state_stream = trial_seed(seed, model, L, q, trial_index, retry).spawn(2)
+        a_true = models.sample_params(basis, param_stream)
+        eig = spectral.eig_hermitian(models.assemble(basis, a_true))
+        try:
+            return basis, a_true, spectral.build_steady_state(eig, q, selection, state_stream), retry
+        except spectral.DegenerateSpectrumError:
+            log.debug("degenerate pick at model=%s L=%d q=%d trial=%d retry=%d", model, L, q, trial_index, retry)
+    return basis, a_true, None, retry
+
+
+def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: tuple[str, ...], rank_tol: float,
+                instance: str):
+    """Run the selected recovery routes on one drawn instance.
+
+    Returns ``(hoe_report, joint, relations)``, None for what did not run.
+    A failed factorization or a joint vector with no coefficient block is
+    raised as NumericalFailureError naming ``instance``.
+    """
+    hoe_report = joint = None
+    try:
+        if "hoe" in methods:
+            hoe_report = hoe.recover(hoe.constraint_matrix(basis, state), rank_tol)
+        if "eee" in methods:
+            joint = eee.recover(eee.constraint_matrix(basis, state), basis.n_params, rank_tol)
+    except (eee.DegenerateRecoveryError, np.linalg.LinAlgError) as exc:
+        raise NumericalFailureError(f"recovery failed at {instance}: {exc}") from exc
+    both = hoe_report is not None and joint is not None
+    return hoe_report, joint, eee.compare_methods(hoe_report, joint, state.q) if both else None
+
+
 def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: int) -> TrialRecord:
     """Draw, decompose, mix, recover and score one random instance.
 
@@ -217,62 +264,26 @@ def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: in
     the trial is marked rejected rather than silently skipped.
     """
     t0 = time.perf_counter()
-    basis = models.enumerate_terms(model, L)
-    state = None
-    retry = 0
-    a_true = None
-    for retry in range(MAX_DEGENERACY_RETRIES + 1):
-        stream = trial_seed(cfg.seed, model, L, q, trial_index, retry)
-        param_stream, state_stream = stream.spawn(2)
-        a_true = models.sample_params(basis, param_stream)
-        h = models.assemble(basis, a_true)
-        eig = spectral.eig_hermitian(h)
-        try:
-            state = spectral.build_steady_state(eig, q, cfg.selection_policy, state_stream)
-        except spectral.DegenerateSpectrumError:
-            log.debug("degenerate pick at model=%s L=%d q=%d trial=%d retry=%d", model, L, q, trial_index, retry)
-            continue
-        break
-    stream_id = f"{cfg.seed}-{KIND_ID[model]}-{L}-{q}-{trial_index}-{retry}"
+    basis, a_true, state, retry = draw_instance(model, L, q, cfg.seed, trial_index, cfg.selection_policy)
+    record = dict(model=model, L=L, q=q, trial_index=trial_index,
+                  seed_stream_id=f"{cfg.seed}-{KIND_ID[model]}-{L}-{q}-{trial_index}-{retry}",
+                  delta_hoe=None, delta_eee=None, r=None, r_prime=None,
+                  delta_gap=None, delta_gap_prime=None, relations_ok=None, rejected=state is None)
     if state is None:
         log.warning("trial rejected after %d retries: model=%s L=%d q=%d trial=%d",
                     MAX_DEGENERACY_RETRIES, model, L, q, trial_index)
-        return TrialRecord(
-            model=model, L=L, q=q, trial_index=trial_index, seed_stream_id=stream_id,
-            delta_hoe=None, delta_eee=None, r=None, r_prime=None,
-            delta_gap=None, delta_gap_prime=None, relations_ok=None,
-            rejected=True, wall_time_s=time.perf_counter() - t0,
-        )
-
-    delta_hoe = delta_eee = None
-    r = r_prime = gap = gap_prime = None
-    hoe_report = joint = None
-    try:
-        if "hoe" in cfg.methods:
-            g = hoe.constraint_matrix(basis, state)
-            hoe_report = hoe.recover(g, cfg.rank_tol)
-            delta_hoe = hoe.reconstruction_error(a_true, hoe_report.coefficients)
-            r, gap = hoe_report.rank, hoe_report.gap
-        if "eee" in cfg.methods:
-            qmat = eee.constraint_matrix(basis, state)
-            joint = eee.recover(qmat, basis.n_params, cfg.rank_tol)
-            delta_eee = hoe.reconstruction_error(a_true, joint.coefficients)
-            r_prime, gap_prime = joint.rank, joint.gap
-    except (eee.DegenerateRecoveryError, np.linalg.LinAlgError) as exc:
-        raise NumericalFailureError(
-            f"recovery failed at model={model} L={L} q={q} trial={trial_index}: {exc}"
-        ) from exc
-
-    relations_ok = None
-    if hoe_report is not None and joint is not None:
-        rel = eee.compare_methods(hoe_report, joint, q)
-        relations_ok = rel.rank_relation_ok and rel.gap_relation_ok
-    return TrialRecord(
-        model=model, L=L, q=q, trial_index=trial_index, seed_stream_id=stream_id,
-        delta_hoe=delta_hoe, delta_eee=delta_eee, r=r, r_prime=r_prime,
-        delta_gap=gap, delta_gap_prime=gap_prime, relations_ok=relations_ok,
-        rejected=False, wall_time_s=time.perf_counter() - t0,
-    )
+        return TrialRecord(**record, wall_time_s=time.perf_counter() - t0)
+    hoe_report, joint, rel = _run_routes(basis, state, cfg.methods, cfg.rank_tol,
+                                        f"model={model} L={L} q={q} trial={trial_index}")
+    if hoe_report is not None:
+        record.update(delta_hoe=hoe.reconstruction_error(a_true, hoe_report.coefficients),
+                      r=hoe_report.rank, delta_gap=hoe_report.gap)
+    if joint is not None:
+        record.update(delta_eee=hoe.reconstruction_error(a_true, joint.coefficients),
+                      r_prime=joint.rank, delta_gap_prime=joint.gap)
+    if rel is not None:
+        record.update(relations_ok=rel.rank_relation_ok and rel.gap_relation_ok)
+    return TrialRecord(**record, wall_time_s=time.perf_counter() - t0)
 
 
 def _trial_task(args) -> TrialRecord:
@@ -391,59 +402,30 @@ def recover_instance(model: str, L: int, q: int, seed: int = 0, selection: str =
     relation checks. Uses the same seed streams as the sweep runner:
     trial index 0 of the given master seed.
     """
-    basis = models.enumerate_terms(model, L)
-    state = None
-    a_true = None
-    for retry in range(MAX_DEGENERACY_RETRIES + 1):
-        stream = trial_seed(seed, model, L, q, 0, retry)
-        param_stream, state_stream = stream.spawn(2)
-        a_true = models.sample_params(basis, param_stream)
-        h = models.assemble(basis, a_true)
-        eig = spectral.eig_hermitian(h)
-        try:
-            state = spectral.build_steady_state(eig, q, selection, state_stream)
-        except spectral.DegenerateSpectrumError:
-            continue
-        break
+    instance = f"model={model} L={L} q={q} seed={seed}"
+    basis, a_true, state, _ = draw_instance(model, L, q, seed, 0, selection)
     if state is None:
-        raise NumericalFailureError(f"no non-degenerate state in {MAX_DEGENERACY_RETRIES} retries")
+        raise NumericalFailureError(f"no non-degenerate state at {instance} in {MAX_DEGENERACY_RETRIES} retries")
+    hoe_report, joint, rel = _run_routes(basis, state, methods, rank_tol, instance)
     result: dict = {
         "model": model, "L": L, "q": q, "seed": seed, "selection": selection,
         "n_params": basis.n_params,
         "true_coefficients": [float(v) for v in a_true],
     }
-    hoe_report = joint = None
-    if "hoe" in methods:
-        g = hoe.constraint_matrix(basis, state)
-        hoe_report = hoe.recover(g, rank_tol)
-        result["hoe"] = {
-            "rank": hoe_report.rank,
-            "gap": hoe_report.gap,
-            "sigma_min": hoe_report.sigma_min,
-            "unique": hoe_report.unique,
-            "reconstruction_error": hoe.reconstruction_error(a_true, hoe_report.coefficients),
-            "coefficients": [float(v) for v in hoe_report.coefficients],
-        }
-    if "eee" in methods:
-        qmat = eee.constraint_matrix(basis, state)
-        joint = eee.recover(qmat, basis.n_params, rank_tol)
-        result["eee"] = {
-            "rank": joint.rank,
-            "gap": joint.gap,
-            "sigma_min": joint.sigma_min,
-            "unique": joint.unique,
-            "reconstruction_error": hoe.reconstruction_error(a_true, joint.coefficients),
-            "coefficients": [float(v) for v in joint.coefficients],
-            "eigenvalues": [float(v) for v in joint.eigenvalues],
-        }
-    if hoe_report is not None and joint is not None:
-        rel = eee.compare_methods(hoe_report, joint, q)
-        result["relations"] = {
-            "rank_relation_ok": rel.rank_relation_ok,
-            "gap_relation_ok": rel.gap_relation_ok,
-            "angle": rel.angle,
-            "aligned_distance": rel.aligned_distance,
-        }
+    for method, report in (("hoe", hoe_report), ("eee", joint)):
+        if report is not None:
+            result[method] = {
+                "rank": report.rank,
+                "gap": report.gap,
+                "sigma_min": report.sigma_min,
+                "unique": report.unique,
+                "reconstruction_error": hoe.reconstruction_error(a_true, report.coefficients),
+                "coefficients": [float(v) for v in report.coefficients],
+            }
+    if joint is not None:
+        result["eee"]["eigenvalues"] = [float(v) for v in joint.eigenvalues]
+    if rel is not None:
+        result["relations"] = asdict(rel)
     return result
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import TermBasis, term_amplitudes
-from .pauli import PauliString, apply_string, string_action
+from .pauli import PauliString, action_table
 from .spectral import SteadyState
 
 DEFAULT_RANK_TOL = 1e-10
@@ -44,16 +44,9 @@ class RecoveryReport:
     reconstruction_error: float | None = None
 
 
-def _observable_columns(observables, basis: TermBasis, psi: np.ndarray) -> np.ndarray:
-    cols = np.empty((psi.size, len(observables)), dtype=complex)
-    for m, obs in enumerate(observables):
-        cols[:, m] = apply_string(obs, psi)
-    return cols
-
-
 def constraint_matrix(
     basis: TermBasis,
-    state: SteadyState | np.ndarray,
+    state: SteadyState,
     observables: list[PauliString | str] | None = None,
 ) -> np.ndarray:
     """Real matrix of commutator expectations <i[K_m, h_n]> in the state.
@@ -63,41 +56,27 @@ def constraint_matrix(
     G[m, n] = -G[n, m], so its rank is even; when the constraint system
     carries an odd number of independent rows, the square matrix sits one
     below it, and any observable outside the term set restores the odd
-    rank (see ranks.predict_ranks). ``state`` is either a SteadyState or
-    a dense density matrix of matching dimension.
+    rank (see ranks.predict_ranks).
 
-    For a SteadyState the entries reduce to sums over the mixed
-    eigenstates: with w = h_n|psi_mu> and u = K_m|psi_mu>,
-    <i[K_m, h_n]>_mu = -2 Im(u^H w), which avoids any dim x dim products.
+    The entries reduce to sums over the mixed eigenstates: with
+    w = h_n|psi_mu> and u = K_m|psi_mu>, <i[K_m, h_n]>_mu = -2 Im(u^H w),
+    which avoids any dim x dim products.
     """
-    if observables is not None and len(observables) == 0:
-        raise ValueError("observable list must not be empty")
-
-    if isinstance(state, SteadyState):
-        if state.dim != basis.dim:
-            raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
-        g = np.zeros((basis.n_params if observables is None else len(observables), basis.n_params))
-        for mu in range(state.q):
-            psi = state.states[:, mu]
-            w = term_amplitudes(basis, psi)
-            u = w if observables is None else _observable_columns(observables, basis, psi)
-            g += state.probs[mu] * (u.conj().T @ w).imag
-        return -2.0 * g
-
-    rho = np.asarray(state)
-    if rho.shape != (basis.dim, basis.dim):
-        raise ValueError(f"expected density matrix of shape {(basis.dim, basis.dim)}, got {rho.shape}")
-    obs = basis.terms if observables is None else tuple(observables)
-    actions = [string_action(k) for k in obs]
-    idx = np.arange(basis.dim)
-    g = np.empty((len(obs), basis.n_params))
-    for n, term in enumerate(basis.terms):
-        src, phase = string_action(term)
-        x = phase[src][:, None] * rho[src, :]  # term @ rho
-        for m, (src_m, phase_m) in enumerate(actions):
-            # <i[K, h]> = -2 Im Tr(K h rho); Tr(K X) = sum_k phase_K[k] X[k, k^flip]
-            g[m, n] = -2.0 * float(np.sum(phase_m * x[idx, src_m]).imag)
-    return g
+    if not isinstance(state, SteadyState):
+        raise TypeError(f"expected a SteadyState, got {type(state).__name__}")
+    if state.dim != basis.dim:
+        raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
+    if observables is not None:
+        if len(observables) == 0:
+            raise ValueError("observable list must not be empty")
+        obs_src, obs_phase = action_table(observables, basis.L)
+    g = np.zeros((basis.n_params if observables is None else len(observables), basis.n_params))
+    for mu in range(state.q):
+        psi = state.states[:, mu]
+        w = term_amplitudes(basis, psi)
+        u = w if observables is None else obs_phase * psi[obs_src]
+        g += state.probs[mu] * (u.conj().T @ w).imag
+    return -2.0 * g
 
 
 def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, int, float, np.ndarray]:

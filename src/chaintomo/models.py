@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, string_action
+from .pauli import PauliString, action_table
 
 MODEL_KINDS = ("h2", "h2prime", "h3", "h3table")
 
@@ -132,33 +132,32 @@ def sample_params(basis: TermBasis, seed) -> np.ndarray:
 def term_amplitudes(basis: TermBasis, psi: np.ndarray) -> np.ndarray:
     """Matrix whose n-th column is term_n applied to the state psi.
 
-    Shape (2**L, N). Both recovery routes are linear in these amplitudes,
-    so this is the one place basis terms touch a state vector.
+    Shape (2**L, N): one gather through the terms' action table. Both
+    recovery routes are linear in these amplitudes. The table is formed
+    per call rather than kept on the basis, so that no (2**L, N) array
+    stays alive across an eigensolve.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.dim,):
         raise ValueError(f"expected state of dimension {basis.dim}, got shape {psi.shape}")
-    out = np.empty((basis.dim, basis.n_params), dtype=complex)
-    for n, term in enumerate(basis.terms):
-        src, phase = string_action(term)
-        out[:, n] = phase[src] * psi[src]
-    return out
+    src, phase = action_table(basis.terms, basis.L)
+    phase *= psi[src]  # in place: one (2**L, N) complex array fewer
+    return phase
 
 
 def assemble(basis: TermBasis, coeffs: np.ndarray) -> np.ndarray:
     """Dense Hamiltonian sum_n coeffs[n] * term_n as a 2**L square matrix.
 
-    Each term is a signed permutation matrix, so the sum is accumulated in
-    O(N * 2**L) without forming per-term dense matrices. Exactly Hermitian
-    for real coefficients.
+    Each term is a signed permutation matrix, so the sum is one scatter of
+    the action table, O(N * 2**L). The scatter runs row by row and, within
+    a row, in term order, so every entry sums its terms in a fixed order
+    and H is exactly Hermitian for real coefficients.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.n_params,):
         raise ValueError(f"expected {basis.n_params} coefficients, got shape {coeffs.shape}")
-    dim = basis.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for a_n, term in zip(coeffs, basis.terms):
-        src, phase = string_action(term)
-        h[src, cols] += a_n * phase
+    src, phase = action_table(basis.terms, basis.L)
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    phase *= coeffs
+    np.add.at(h, (np.arange(basis.dim)[:, None], src), phase)
     return h

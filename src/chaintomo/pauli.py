@@ -8,6 +8,7 @@ expansion of k with site 1 first (bit 0 = spin up).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -70,32 +71,25 @@ def string_matrix(s: PauliString | str) -> np.ndarray:
     return reduce(np.kron, (PAULI_MATRICES[c] for c in ops))
 
 
-def string_action(s: PauliString | str) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation/phase form of a Pauli string.
+def action_table(strings: Sequence[PauliString | str], L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed-permutation form of M Pauli strings on L sites, one column each.
 
-    Every Pauli string acts on basis states as ``h|i> = phase(i) |i ^ flip>``,
-    where flip has a bit set for each X or Y site and the phase collects the
-    signs of the Y and Z sites. Returns ``(src, phase)`` with
-    ``src = arange(2**L) ^ flip`` so that ``(h @ psi)[j] = phase[src[j]] * psi[src[j]]``.
+    A Pauli string maps basis state |j> to i**n_y (-1)**popcount(j & sign) |j ^ flip>,
+    where flip marks its X and Y sites, sign its Y and Z sites and n_y counts its
+    Y sites. Returns ``(src, phase)``, both of shape (2**L, M), such that
+    ``(K_m @ psi)[i] = phase[i, m] * psi[src[i, m]]``.
     """
-    ops = s.ops if isinstance(s, PauliString) else PauliString(s).ops
-    L = len(ops)
-    dim = 1 << L
-    flip = 0
-    sign_mask = 0  # sites contributing (-1)**bit to the phase
-    n_y = 0
-    for l, c in enumerate(ops):
-        bit = 1 << (L - 1 - l)  # site 1 owns the most significant bit
-        if c in "XY":
-            flip |= bit
-        if c in "YZ":
-            sign_mask |= bit
-        if c == "Y":
-            n_y += 1
-    idx = np.arange(dim)
-    signs = np.where(np.bitwise_count(idx & sign_mask) & 1, -1.0, 1.0)
-    phase = (1j**n_y) * signs
-    return idx ^ flip, phase.astype(complex)
+    ops = [s.ops if isinstance(s, PauliString) else PauliString(s).ops for s in strings]
+    if any(len(o) != L for o in ops):
+        raise ValueError(f"every Pauli string must cover {L} sites")
+    chars = np.frombuffer("".join(ops).encode(), dtype=np.uint8).reshape(len(ops), L)
+    x, y, z = (chars == ord(c) for c in "XYZ")
+    bits = 1 << np.arange(L - 1, -1, -1)  # site 1 owns the most significant bit
+    src = np.arange(1 << L)[:, None] ^ ((x | y) @ bits)
+    odd = np.bitwise_count(src & ((y | z) @ bits)) & 1
+    i_pow = np.array([1j**k for k in range(L + 1)])[y.sum(axis=1)]  # i**n_y per string
+    # signs multiplied in rather than negated, so that no zero part turns into -0.0
+    return src, np.where(odd, i_pow * -1.0, i_pow * 1.0)
 
 
 def apply_string(s: PauliString | str, psi: np.ndarray) -> np.ndarray:
@@ -104,12 +98,11 @@ def apply_string(s: PauliString | str, psi: np.ndarray) -> np.ndarray:
     Costs O(2**L) instead of building the dense matrix; equivalent to
     ``string_matrix(s) @ psi``.
     """
-    src, phase = string_action(s)
-    if psi.shape[0] != src.size:
-        raise ValueError(f"state dimension {psi.shape[0]} != operator dimension {src.size}")
-    if psi.ndim == 1:
-        return phase[src] * psi[src]
-    return phase[src][:, None] * psi[src, :]
+    s = s if isinstance(s, PauliString) else PauliString(s)
+    src, phase = action_table([s], s.length)
+    if psi.shape[0] != src.shape[0]:
+        raise ValueError(f"state dimension {psi.shape[0]} != operator dimension {src.shape[0]}")
+    return phase[:, 0] * psi[src[:, 0]] if psi.ndim == 1 else phase * psi[src[:, 0], :]
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

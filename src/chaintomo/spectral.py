@@ -70,19 +70,22 @@ class SteadyState:
     """Mixture of q eigenstates with distinct probabilities.
 
     ``states`` holds the selected eigenvectors as columns in ascending
-    energy order; ``energies`` are the matching eigenvalues. ``rho`` is
-    the dense density matrix of the mixture.
+    energy order; ``energies`` are the matching eigenvalues.
     """
 
     q: int
     states: np.ndarray
     probs: np.ndarray
     energies: np.ndarray
-    rho: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.states.shape[0]
+
+    @property
+    def rho(self) -> np.ndarray:
+        """Dense density matrix of the mixture, formed on each access."""
+        return (self.states * self.probs) @ self.states.conj().T
 
 
 def _draw_probs(q: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,5 +146,4 @@ def build_steady_state(
         if q > 1 and np.diff(np.sort(p)).min() == 0:
             raise ValueError("probabilities must be pairwise distinct")
     states = eig.eigenvectors[:, idx]
-    rho = (states * p) @ states.conj().T
-    return SteadyState(q=q, states=states, probs=p, energies=energies, rho=rho)
+    return SteadyState(q=q, states=states, probs=p, energies=energies)

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from chaintomo import cli, harness
+from chaintomo import cli, eee, harness
 from reference_grids import H2_RANK
 
 
@@ -128,6 +129,18 @@ def test_exit_code_for_numerical_failure(tmp_path, monkeypatch, capsys):
     assert cli.main(["reproduce", "--table", "1", "--out-dir", str(tmp_path)]) == 4
     assert "ranks deviate" in capsys.readouterr().err
 
+    # a failed factorization names the instance, from recover and from a sweep
+    def failing_joint_route(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(eee, "recover", failing_joint_route)
+    assert cli.main(["recover", "--model", "h2", "--L", "3", "--q", "2", "--seed", "4"]) == 4
+    assert "model=h2 L=3 q=2 seed=4: SVD did not converge" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "h2", "L_range": [3, 3], "q_list": [2], "trials": 1}))
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 4
+    assert "model=h2 L=3 q=2 trial=0: SVD did not converge" in capsys.readouterr().err
+
 
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
@@ -141,6 +154,10 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
     for tol in ("0", "-1"):
         assert cli.main(["recover", "--model", "h2", "--L", "4", "--q", "1", "--rank-tol", tol]) == 2
+    # chain too short for the family, q outside 1..2**L
+    for args in (["--model", "h2", "--L", "1"], ["--model", "h2", "--L", "2", "--q", "0"],
+                 ["--model", "h2", "--L", "2", "--q", "5"], ["--model", "h2prime", "--L", "2"]):
+        assert cli.main(["recover", *args]) == 2, args
 
 
 def test_version_flag(capsys):

@@ -105,6 +105,8 @@ def test_run_trial_rejects_after_forced_degeneracy(tmp_path, monkeypatch):
         assert getattr(rec, field) is None
     line = trials_csv_text([rec]).splitlines()[1]
     assert line.startswith("h2,2,1,0,,,,,,,,True,")
+    with pytest.raises(NumericalFailureError, match="model=h2 L=2 q=1 seed=0 in 16 retries"):
+        recover_instance("h2", 2, 1, seed=0)
 
 
 @pytest.mark.parametrize("field,value", [

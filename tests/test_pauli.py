@@ -5,12 +5,12 @@ import pytest
 
 from chaintomo.pauli import (
     PauliString,
+    action_table,
     apply_string,
     commutator,
     expectation,
     is_hermitian,
     pauli_matrix,
-    string_action,
     string_matrix,
 )
 
@@ -58,25 +58,37 @@ def test_string_matrix_involution_and_hermiticity():
             assert np.allclose(m @ m, np.eye(2**length), atol=1e-14)
 
 
+def _random_strings(rng, length, count):
+    return ["".join(rng.choice(list("IXYZ"), size=length)) for _ in range(count)]
+
+
 def test_action_matches_matrix():
+    # every column of a multi-string table applies its string exactly
     rng = np.random.default_rng(7)
-    symbols = np.array(list("IXYZ"))
     for length in (1, 2, 3, 4, 6):
         dim = 2**length
-        for _ in range(8):
-            s = "".join(rng.choice(symbols, size=length))
-            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            assert np.allclose(apply_string(s, psi), string_matrix(s) @ psi, atol=1e-14), s
+        strings = _random_strings(rng, length, 8)
+        src, phase = action_table(strings, length)
+        assert src.shape == phase.shape == (dim, len(strings))
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for m, s in enumerate(strings):
+            assert np.array_equal(phase[:, m] * psi[src[:, m]], string_matrix(s) @ psi), s
+            assert np.array_equal(apply_string(s, psi), string_matrix(s) @ psi), s
 
 
 def test_action_reconstructs_matrix():
-    # place the action's permutation and phases into a dense matrix
-    for s in ("Y", "ZZ", "XY", "IYZ"):
-        dim = 2 ** len(s)
-        src, phase = string_action(s)
-        m = np.zeros((dim, dim), dtype=complex)
-        m[src, np.arange(dim)] = phase
-        assert np.array_equal(m, string_matrix(s))
+    # place each column's permutation and phases into a dense matrix
+    rng = np.random.default_rng(9)
+    for length in (1, 2, 3, 4, 5, 6):
+        dim = 2**length
+        strings = ["I" * length, "Y" * length] + _random_strings(rng, length, 6)
+        src, phase = action_table([PauliString(s) for s in strings], length)
+        for m, s in enumerate(strings):
+            dense = np.zeros((dim, dim), dtype=complex)
+            dense[np.arange(dim), src[:, m]] = phase[:, m]
+            assert np.array_equal(dense, string_matrix(s)), s
+    with pytest.raises(ValueError):
+        action_table(["XX", "XYZ"], 2)
 
 
 def test_apply_string_on_column_stack():

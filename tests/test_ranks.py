@@ -125,7 +125,16 @@ def test_basis_degeneracy_cell():
 def test_measured_ranks_at_small_parity_cells():
     from chaintomo import eee, hoe, models, spectral
 
-    for kind, L, q in [("h2prime", 3, 3), ("h2prime", 3, 4), ("h3", 3, 6)]:
+    # the degenerate cell plus every cell with q = 4..6, L <= 6 and q <= 2**L
+    cells = [("h2prime", 3, 3)] + [
+        (kind, L, q)
+        for kind in ("h2", "h2prime", "h3", "h3table")
+        for L in range(min_length(kind), 7)
+        for q in (4, 5, 6)
+        if q <= 2**L
+    ]
+    assert len(cells) == 50
+    for kind, L, q in cells:
         basis = models.enumerate_terms(kind, L)
         pred = predict_ranks(kind, L, q)
         for seed in range(2):

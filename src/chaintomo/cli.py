@@ -8,6 +8,7 @@ step fails (including measured ranks departing from the closed form).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -96,10 +97,18 @@ def cmd_rank_scan(args) -> int:
         model=args.model, L_range=(args.L_min, args.L_max), q_list=tuple(args.q),
         trials=args.trials, seed=args.seed,
     )
-    cfg.validate()
+    # a cell mixes q distinct eigenstates, so it needs q <= 2**L; a scan
+    # skips the cells without them where a sweep rejects the whole grid,
+    # so the grid is validated with q capped at its smallest dimension
+    dataclasses.replace(cfg, q_list=tuple(min(q, 2**args.L_min) for q in cfg.q_list)).validate()
+    if all(q > 2**L for L, q in cfg.cells()):
+        raise harness.ConfigError(f"every q in {list(cfg.q_list)} exceeds the Hilbert dimension up to L={args.L_max}")
     print(f"{'L':>3} {'q':>3} {'N':>5} {'r':>5} {'r_pred':>7} {'r_prime':>8} {'r_prime_pred':>13} {'ok':>4}")
     all_ok = True
     for L, q in cfg.cells():
+        if q > 2**L:
+            print(f"{L:>3} {q:>3} skipped: q exceeds the Hilbert dimension {2**L}")
+            continue
         pred = ranks.predict_ranks(args.model, L, q)
         measured_r = set()
         measured_rp = set()

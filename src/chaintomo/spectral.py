@@ -1,4 +1,4 @@
-"""Hermitian eigendecomposition and rank-q steady-state construction.
+"""Hermitian spectra and rank-q steady-state construction.
 
 A steady state of a Hamiltonian is any density matrix that commutes with
 it. Here we use non-degenerate mixtures of q energy eigenstates:
@@ -24,6 +24,10 @@ DEGENERACY_RTOL = 1e-10
 # minimum pairwise distance between mixture probabilities
 MIN_PROB_GAP = 1e-3
 
+# times a shift that leaves H - sigma*I exactly singular moves by one
+# rounding unit of the spectrum's scale before the solve gives up
+MAX_SHIFT_NUDGES = 4
+
 
 class DegenerateSpectrumError(RuntimeError):
     """Selected eigenstates are too close in energy to mix reliably."""
@@ -33,12 +37,12 @@ class DegenerateSpectrumError(RuntimeError):
 class EigDecomposition:
     """Full spectrum of a Hermitian matrix, eigenvalues ascending.
 
-    ``eigenvectors`` holds orthonormal eigenvectors as columns, column k
-    paired with ``eigenvalues[k]``.
+    ``matrix`` is the decomposed matrix itself. No eigenvectors are held:
+    ``build_steady_state`` computes them only for the states it mixes.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -50,7 +54,7 @@ class EigDecomposition:
 
 
 def eig_hermitian(h: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix with ascending eigenvalues.
+    """All eigenvalues of a Hermitian matrix, ascending, with the matrix.
 
     Raises ValueError when the input is not square or departs from
     Hermiticity by more than 1e-12 relative to its largest entry.
@@ -61,8 +65,7 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     scale = max(1.0, float(np.max(np.abs(h))))
     if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(h)
-    return EigDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return EigDecomposition(eigenvalues=np.linalg.eigvalsh(h), matrix=h)
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,48 @@ class SteadyState:
     def rho(self) -> np.ndarray:
         """Dense density matrix of the mixture, formed on each access."""
         return (self.states * self.probs) @ self.states.conj().T
+
+
+def _picked_eigenvectors(h: np.ndarray, vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of ``h`` for the eigenvalues ``vals[idx]``, as columns.
+
+    Inverse iteration (Ipsen, SIAM Review 39, 1997): per eigenvalue, one
+    solve shifted to it from a fixed start vector, then one shifted to the
+    Rayleigh quotient of the result; a single solve leaves residuals ten to
+    a hundred times those of a full ``eigh``. A Rayleigh-Ritz step on the
+    span of the q vectors keeps them orthonormal where picked eigenvalues
+    lie close. ``vals`` must hold the whole spectrum of ``h``, ascending;
+    its ends set the shift nudge.
+    """
+    dim = h.shape[0]
+    # H is Hermitian, so H - sigma*I reaches the solver as the transpose of
+    # its conjugate: a Fortran-ordered view, which LAPACK takes without a
+    # strided copy
+    shifted_conj = np.conjugate(h, dtype=np.result_type(h.dtype, float))
+    diag = shifted_conj.diagonal().copy()
+    nudge = np.finfo(float).eps * (max(abs(vals[0]), abs(vals[-1])) or 1.0)
+
+    def solve(sigma: float, v: np.ndarray) -> np.ndarray:
+        for _ in range(MAX_SHIFT_NUDGES + 1):
+            shifted_conj.flat[:: dim + 1] = diag - sigma
+            try:
+                x = np.linalg.solve(shifted_conj.T, v)
+            except np.linalg.LinAlgError:
+                sigma += nudge
+                continue
+            return x / np.linalg.norm(x)
+        raise np.linalg.LinAlgError(
+            f"shifted matrix exactly singular after {MAX_SHIFT_NUDGES} nudges (shift {sigma:.17g})"
+        )
+
+    # fixed, so that no trial's random stream is consumed
+    start = np.random.default_rng(0).standard_normal(dim)
+    cols = []
+    for k in idx:
+        v = solve(vals[k], start)
+        cols.append(solve(np.vdot(v, h @ v).real, v))
+    basis = np.linalg.qr(np.stack(cols, axis=1))[0]
+    return basis @ np.linalg.eigh(basis.conj().T @ (h @ basis))[1]
 
 
 def _draw_probs(q: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,7 +157,9 @@ def build_steady_state(
     ``selection`` picks which eigenstates enter the mixture: ``lowest``
     takes the q smallest eigenvalues, ``random`` takes q distinct uniform
     picks. Probabilities are drawn uniformly from the simplex with a
-    minimum pairwise gap of 1e-3 unless passed explicitly.
+    minimum pairwise gap of 1e-3 unless passed explicitly. Every decision
+    is made on the eigenvalues; eigenvectors are then computed for the
+    picked states only.
 
     Raises DegenerateSpectrumError when any two selected eigenvalues are
     closer than 1e-10 times the spectral range; callers resample the
@@ -145,5 +192,5 @@ def build_steady_state(
             raise ValueError("probabilities must be positive and sum to 1")
         if q > 1 and np.diff(np.sort(p)).min() == 0:
             raise ValueError("probabilities must be pairwise distinct")
-    states = eig.eigenvectors[:, idx]
+    states = _picked_eigenvectors(eig.matrix, eig.eigenvalues, idx)
     return SteadyState(q=q, states=states, probs=p, energies=energies)

@@ -58,6 +58,21 @@ def test_rank_scan_agrees_with_closed_form(capsys):
     assert all(line.endswith("yes") for line in out[1:])
 
 
+def test_rank_scan_skips_cells_above_the_dimension(capsys):
+    code = cli.main(["rank-scan", "--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "4", "5", "6"])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split()[:3] for line in out if "skipped" in line] == [["2", "5", "skipped:"], ["2", "6", "skipped:"]]
+    ran = [line for line in out if "skipped" not in line]
+    assert [line.split()[:2] for line in ran] == [["2", "4"], ["3", "4"], ["3", "5"], ["3", "6"]]
+    assert all(line.endswith("yes") for line in ran)
+    # a grid with no cell left, a bad q or a chain too short are still usage errors
+    for args in (["--model", "h2", "--L-min", "2", "--L-max", "2", "--q", "5"],
+                 ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "0", "5"],
+                 ["--model", "h2prime", "--L-min", "2", "--L-max", "3", "--q", "5"]):
+        assert cli.main(["rank-scan", *args]) == 2, args
+
+
 def test_reproduce_analytic_table(tmp_path, capsys):
     code = cli.main(["reproduce", "--table", "5", "--out-dir", str(tmp_path)])
     assert code == 0

@@ -125,7 +125,8 @@ def test_basis_degeneracy_cell():
 def test_measured_ranks_at_small_parity_cells():
     from chaintomo import eee, hoe, models, spectral
 
-    # the degenerate cell plus every cell with q = 4..6, L <= 6 and q <= 2**L
+    # the degenerate cell plus every cell with q = 4..6, L <= 6 and q <= 2**L,
+    # under both selection policies: random picks reach interior eigenvalues
     cells = [("h2prime", 3, 3)] + [
         (kind, L, q)
         for kind in ("h2", "h2prime", "h3", "h3table")
@@ -140,11 +141,13 @@ def test_measured_ranks_at_small_parity_cells():
         for seed in range(2):
             params = models.sample_params(basis, seed)
             eig = spectral.eig_hermitian(models.assemble(basis, params))
-            state = spectral.build_steady_state(eig, q, "lowest", seed)
-            g = hoe.constraint_matrix(basis, state)
-            assert hoe.numeric_rank(g) == pred.r, (kind, L, q, seed)
-            qmat = eee.constraint_matrix(basis, state)
-            assert hoe.numeric_rank(qmat) == pred.r_prime, (kind, L, q, seed)
+            for selection in spectral.SELECTION_POLICIES:
+                state = spectral.build_steady_state(eig, q, selection, seed)
+                cell = (kind, L, q, seed, selection)
+                g = hoe.constraint_matrix(basis, state)
+                assert hoe.numeric_rank(g) == pred.r, cell
+                qmat = eee.constraint_matrix(basis, state)
+                assert hoe.numeric_rank(qmat) == pred.r_prime, cell
 
 
 def test_true_onset_at_the_degeneracy_cell():

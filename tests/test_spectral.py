@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from chaintomo.models import assemble, enumerate_terms, sample_params
+from chaintomo import spectral
+from chaintomo.models import assemble, enumerate_terms, min_length, sample_params
 from chaintomo.pauli import string_matrix
 from chaintomo.spectral import (
+    SELECTION_POLICIES,
     DegenerateSpectrumError,
     build_steady_state,
     eig_hermitian,
@@ -23,26 +25,105 @@ def test_eig_single_qubit_z():
     eig = eig_hermitian(string_matrix("Z"))
     assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
     # eigenvector of -1 is spin down, of +1 spin up, up to phase
-    assert np.isclose(abs(eig.eigenvectors[1, 0]), 1.0)
-    assert np.isclose(abs(eig.eigenvectors[0, 1]), 1.0)
+    states = build_steady_state(eig, 2, "lowest", 0).states
+    assert np.isclose(abs(states[1, 0]), 1.0)
+    assert np.isclose(abs(states[0, 1]), 1.0)
 
 
 def test_eig_zero_matrix():
     eig = eig_hermitian(np.zeros((4, 4)))
     assert np.all(eig.eigenvalues == 0)
-    v = eig.eigenvectors
-    assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
+    # every vector is an eigenvector; the shift nudge must not vanish
+    v = build_steady_state(eig, 1, "lowest", 0).states
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eig_resynthesis():
     _, _, h = _random_instance(seed=11)
     eig = eig_hermitian(h)
-    rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
     scale = np.max(np.abs(h))
-    assert np.max(np.abs(rebuilt - h)) <= 1e-10 * scale
     assert np.all(np.diff(eig.eigenvalues) >= 0)
-    gram = eig.eigenvectors.conj().T @ eig.eigenvectors
-    assert np.max(np.abs(gram - np.eye(eig.dim))) <= 1e-12
+    assert np.max(np.abs(eig.eigenvalues - np.linalg.eigh(h)[0])) <= 1e-12 * scale
+    # all eight eigenstates picked at once rebuild the matrix
+    state = build_steady_state(eig, eig.dim, "lowest", 0)
+    v = state.states
+    rebuilt = (v * state.energies) @ v.conj().T
+    assert np.max(np.abs(rebuilt - h)) <= 1e-10 * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(eig.dim))) <= 1e-12
+
+
+def _picked_indices(eig, state):
+    idx = np.searchsorted(eig.eigenvalues, state.energies)
+    assert np.array_equal(eig.eigenvalues[idx], state.energies)
+    return idx
+
+
+def _residuals(h, vecs, vals):
+    return np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+
+
+def test_picked_eigenpairs_match_eigh_oracle():
+    # np.linalg.eigh of the whole matrix is the reference for the pairs
+    # computed by shifted solves; residuals are compared per family at
+    # their worst, each vector against its own Rayleigh quotient
+    eps = np.finfo(float).eps
+    for kind in ("h2", "h2prime", "h3", "h3table"):
+        worst = worst_oracle = 0.0
+        for L in range(min_length(kind), 9):
+            basis = enumerate_terms(kind, L)
+            for seed in range(2):
+                h = assemble(basis, sample_params(basis, seed))
+                eig = eig_hermitian(h)
+                w, vecs = np.linalg.eigh(h)
+                norm = np.max(np.abs(w))
+                for q in (1, 2, 3, 4) if L == 2 else (1, 2, 3):
+                    for selection in SELECTION_POLICIES:
+                        state = build_steady_state(eig, q, selection, seed)
+                        cell = (kind, L, q, selection, seed)
+                        idx = _picked_indices(eig, state)
+                        oracle = vecs[:, idx]
+                        assert np.max(np.abs(state.energies - w[idx])) <= 100 * eps * norm, cell
+                        overlaps = np.abs(oracle.conj().T @ state.states)
+                        assert np.max(np.abs(overlaps - np.eye(q))) <= 1e-10, cell
+                        gram = state.states.conj().T @ state.states
+                        assert np.max(np.abs(gram - np.eye(q))) <= 1e-13, cell
+                        rayleigh = np.einsum("ij,ij->j", state.states.conj(), h @ state.states).real
+                        worst = max(worst, _residuals(h, state.states, rayleigh).max() / norm)
+                        worst_oracle = max(worst_oracle, _residuals(h, oracle, w[idx]).max() / norm)
+        assert worst <= worst_oracle, (kind, worst, worst_oracle)
+
+
+def test_close_pair_stays_orthonormal():
+    # two eigenvalues 1e-9 apart on a range of 2 pass the degeneracy check;
+    # each solve alone tilts its vector towards the other by about
+    # eps/gap, and the Rayleigh-Ritz step restores orthonormality
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))[0]
+    d = np.linspace(0.0, 2.0, 16)
+    d[1] = 1e-9
+    h = (u * d) @ u.conj().T
+    h = (h + h.conj().T) / 2
+    state = build_steady_state(eig_hermitian(h), 2, "lowest", 0)
+    v = state.states
+    assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-13
+    assert np.linalg.norm(h @ v - v * state.energies, axis=0).max() <= 1e-14
+    # the pair's span, unlike each vector, is well conditioned
+    oracle = np.linalg.eigh(h)[1][:, :2]
+    assert np.max(np.abs(v @ v.conj().T - oracle @ oracle.conj().T)) <= 1e-12
+
+
+def test_exactly_singular_shift_is_nudged(monkeypatch):
+    # H - lambda_k I has an exactly zero pivot on a diagonal matrix
+    h = string_matrix("ZI") + 2 * string_matrix("IZ")
+    eig = eig_hermitian(h)
+    assert eig.eigenvalues.tolist() == [-3.0, -1.0, 1.0, 3.0]
+    for q in (1, 2, 3, 4):
+        state = build_steady_state(eig, q, "lowest", 0)
+        expected = np.eye(4)[:, [3, 1, 2, 0][:q]]
+        assert np.allclose(np.abs(state.states), expected, atol=1e-14), q
+    monkeypatch.setattr(spectral, "MAX_SHIFT_NUDGES", 0)
+    with pytest.raises(np.linalg.LinAlgError):
+        build_steady_state(eig, 1, "lowest", 0)
 
 
 def test_eig_rejects_bad_input():

@@ -11,7 +11,7 @@ Monte-Carlo sweeps behind the reference tables and figures.
 
 __version__ = "0.1.0"
 
-from .eee import DegenerateRecoveryError, JointRecovery, MethodComparison, compare_methods
+from .eee import DegenerateRecoveryError, MethodComparison, compare_methods
 from .harness import (
     AggregateRow,
     ConfigError,
@@ -65,7 +65,6 @@ __all__ = [
     "EigDecomposition",
     "ExperimentConfig",
     "IncompleteGridError",
-    "JointRecovery",
     "MethodComparison",
     "MODEL_KINDS",
     "NumericalFailureError",

@@ -158,16 +158,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = {}
-    for key, attr in (
-        ("model", "model"), ("L_range", "L_range"), ("q_list", "q_list"),
-        ("trials", "trials"), ("seed", "seed"), ("selection_policy", "selection_policy"),
-        ("rank_tol", "rank_tol"), ("success_threshold", "success_threshold"),
-        ("methods", "methods"), ("out_dir", "out_dir"), ("workers", "workers"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
+    # every config field has a flag whose argparse dest is the field name
+    overrides = {field.name: getattr(args, field.name) for field in dataclasses.fields(harness.ExperimentConfig)
+                 if getattr(args, field.name) is not None}
     cfg = harness.ExperimentConfig.from_file(args.config, overrides)
     rows = harness.run_experiment(cfg)
     for row in rows:

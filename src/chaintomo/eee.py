@@ -18,30 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hoe import DEFAULT_RANK_TOL, nullspace
+from .hoe import DEFAULT_RANK_TOL, RecoveryReport, nullspace
 from .models import TermBasis, term_amplitudes
 from .spectral import SteadyState
 
 
 class DegenerateRecoveryError(RuntimeError):
     """The nullspace vector has a vanishing coefficient block."""
-
-
-@dataclass(frozen=True)
-class JointRecovery:
-    """Coefficients and eigenvalues recovered together from one states set.
-
-    ``coefficients`` has unit norm; ``eigenvalues`` are scaled by the same
-    factor applied to reach it, so they match the true ones only up to the
-    common scale (and sign) of the true coefficient vector.
-    """
-
-    coefficients: np.ndarray
-    eigenvalues: np.ndarray
-    rank: int
-    gap: int
-    sigma_min: float
-    unique: bool
 
 
 @dataclass(frozen=True)
@@ -93,7 +76,7 @@ def constraint_matrix(basis: TermBasis, states: SteadyState | np.ndarray) -> np.
     return out
 
 
-def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) -> JointRecovery:
+def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:
     """Split the lowest right-singular vector into coefficients and energies.
 
     The nullspace vector is rescaled so its leading ``n_params`` block has
@@ -114,17 +97,17 @@ def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) 
     norm_a = np.linalg.norm(a_raw)
     if norm_a < 1e-12:
         raise DegenerateRecoveryError("null vector has no coefficient component")
-    return JointRecovery(
+    return RecoveryReport(
         coefficients=a_raw / norm_a,
-        eigenvalues=x[n_params:] / norm_a,
         rank=rank,
         gap=gap,
         sigma_min=sigma_min,
         unique=gap == 0,
+        eigenvalues=x[n_params:] / norm_a,
     )
 
 
-def compare_methods(hoe_report, joint: JointRecovery, q: int) -> MethodComparison:
+def compare_methods(hoe_report: RecoveryReport, joint: RecoveryReport, q: int) -> MethodComparison:
     """Check the cross-route identities rank' = rank + q and gap' = gap.
 
     Both identities hold wherever the square commutator matrix captures

@@ -17,9 +17,11 @@ import csv
 import io
 import json
 import logging
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -104,23 +106,25 @@ class ExperimentConfig:
                 raise ConfigError(f"bad q value {q!r}")
             if q > 2**lo:
                 raise ConfigError(f"q={q} exceeds the Hilbert dimension at L={lo}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials}")
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.selection_policy not in spectral.SELECTION_POLICIES:
             raise ConfigError(f"unknown selection policy {self.selection_policy!r}")
-        if not self.rank_tol > 0:
-            raise ConfigError(f"rank_tol must be positive, got {self.rank_tol}")
-        if not self.success_threshold > 0:
-            raise ConfigError(f"success_threshold must be positive, got {self.success_threshold}")
+        for key in ("rank_tol", "success_threshold"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, float)) or not value > 0:
+                raise ConfigError(f"{key} must be a positive number, got {value!r}")
         if not self.methods:
             raise ConfigError("methods must not be empty")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected a subset of {METHODS}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
 
     def cells(self) -> list[tuple[int, int]]:
         lo, hi = self.L_range
@@ -360,27 +364,26 @@ def write_aggregate_json(path, rows: list[AggregateRow]) -> None:
 def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
     """Run the full grid, persist trials and aggregates, return the rows.
 
-    Writes ``trials.csv`` and ``aggregate.json`` under ``cfg.out_dir``.
-    Partial trial records are flushed if a later cell fails, so long runs
-    are inspectable after an abort.
+    Trials run in grid order through ``map``, or through the ordered map of
+    a process pool when ``cfg.workers`` > 1; nothing else differs between
+    the two. Each cell is logged as it starts and ``trials.csv`` under
+    ``cfg.out_dir`` is rewritten as it ends, and the records done so far
+    are flushed if a trial fails, so long runs are inspectable after an
+    abort. ``aggregate.json`` is written once the grid is complete.
     """
     cfg.validate()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trials_path = out_dir / "trials.csv"
+    tasks = [(cfg, cfg.model, L, q, t) for L, q in cfg.cells() for t in range(cfg.trials)]
     records: list[TrialRecord] = []
     try:
-        if cfg.workers > 1:
-            tasks = [(cfg, cfg.model, L, q, t) for L, q in cfg.cells() for t in range(cfg.trials)]
-            chunk = max(1, len(tasks) // (cfg.workers * 8))
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for rec in pool.map(_trial_task, tasks, chunksize=chunk):
-                    records.append(rec)
-        else:
+        with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+            results = map(_trial_task, tasks) if pool is None else pool.map(
+                _trial_task, tasks, chunksize=max(1, len(tasks) // (cfg.workers * 8)))
             for L, q in cfg.cells():
                 log.info("running model=%s L=%d q=%d (%d trials)", cfg.model, L, q, cfg.trials)
-                for t in range(cfg.trials):
-                    records.append(run_trial(cfg, cfg.model, L, q, t))
+                records.extend(next(results) for _ in range(cfg.trials))
                 write_trials_csv(trials_path, records)
     except Exception:
         if records:
@@ -422,39 +425,33 @@ def recover_instance(model: str, L: int, q: int, seed: int = 0, selection: str =
                 "reconstruction_error": hoe.reconstruction_error(a_true, report.coefficients),
                 "coefficients": [float(v) for v in report.coefficients],
             }
-    if joint is not None:
-        result["eee"]["eigenvalues"] = [float(v) for v in joint.eigenvalues]
+            if report.eigenvalues is not None:
+                result[method]["eigenvalues"] = [float(v) for v in report.eigenvalues]
     if rel is not None:
         result["relations"] = asdict(rel)
     return result
 
 
-# Reference grids: (model, method, chain lengths) per report. The first two
-# summarize the commutator route, the next two the joint route; the last is
-# the analytic critical-length grid and needs no simulation.
-TABLE_GRIDS = {
-    1: ("h2", "hoe", range(2, 10)),
-    2: ("h3table", "hoe", range(3, 10)),
-    3: ("h2", "eee", range(2, 10)),
-    4: ("h3table", "eee", range(3, 10)),
-}
+# The acceptance grids: chain lengths per model at q = 1-3. Tables 1-2 and
+# figure 1 summarize the commutator route on them, tables 3-4 and figure 2
+# the joint route; table 5 is the analytic critical-length grid and needs
+# no simulation.
+REPORT_GRIDS = {"h2": range(2, 10), "h3table": range(3, 10)}
 
-FIGURE_GRIDS = {
-    1: ("hoe", (("h2", range(2, 10)), ("h3table", range(3, 10)))),
-    2: ("eee", (("h2", range(2, 10)), ("h3table", range(3, 10)))),
-}
+REPORT_QS = (1, 2, 3)
 
-TABLE_QS = (1, 2, 3)
+TABLES = {1: ("h2", "hoe"), 2: ("h3table", "hoe"), 3: ("h2", "eee"), 4: ("h3table", "eee")}
+
+FIGURES = {1: "hoe", 2: "eee"}
 
 
-def _indexed_rows(results: list[AggregateRow], model: str, method: str) -> dict[tuple[int, int], AggregateRow]:
-    return {(row.L, row.q): row for row in results if row.model == model and row.method == method}
-
-
-def _require_cells(index: dict, model: str, method: str, lengths, qs) -> None:
-    missing = [(L, q) for L in lengths for q in qs if (L, q) not in index]
+def _report_cells(results: list[AggregateRow], model: str, method: str) -> dict[tuple[int, int], AggregateRow]:
+    """A model's rows of one method on its report grid, keyed by (L, q)."""
+    index = {(row.L, row.q): row for row in results if row.model == model and row.method == method}
+    missing = [(L, q) for L in REPORT_GRIDS[model] for q in REPORT_QS if (L, q) not in index]
     if missing:
         raise IncompleteGridError(f"results missing cells for model={model} method={method}: {missing}")
+    return index
 
 
 def _format_text_table(header: list[str], body: list[list[str]]) -> str:
@@ -471,45 +468,36 @@ def _csv_text(header: list[str], body: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def render_table(which: int, results: list[AggregateRow] | None = None, q_max: int = 6) -> tuple[str, str]:
+def render_table(which: int, results: list[AggregateRow] | None = None) -> tuple[str, str]:
     """Render one of the five reference tables as (text, csv) strings.
 
     Tables 1-4 need aggregate rows covering the corresponding grid and
-    report the measured modal rank with its ambiguity gap per (L, q).
-    Table 5 is purely analytic and ignores ``results``.
+    report the measured modal rank with its ambiguity gap per (L, q); the
+    joint-route tables also give the unknown count N + q per q. Table 5 is
+    purely analytic and ignores ``results``.
     """
     if which == 5:
-        grid = ranks.critical_length_grid(q_max=q_max)
-        header = ["model"] + [f"Lc_q{q}" for q in range(1, q_max + 1)]
+        grid = ranks.critical_length_grid()
+        header = ["model"] + [f"Lc_q{q}" for q in range(1, len(grid["h2"]) + 1)]
         body = [[kind] + [str(v) for v in row] for kind, row in grid.items()]
         return _format_text_table(header, body), _csv_text(header, body)
-    if which not in TABLE_GRIDS:
+    if which not in TABLES:
         raise ValueError(f"no such table: {which}")
     if results is None:
         raise IncompleteGridError(f"table {which} needs experiment results")
-    model, method, lengths = TABLE_GRIDS[which]
-    index = _indexed_rows(results, model, method)
-    _require_cells(index, model, method, lengths, TABLE_QS)
-    if method == "hoe":
-        header = ["L", "N"] + [name for q in TABLE_QS for name in (f"r_q{q}", f"gap_q{q}")]
-        body = []
-        for L in lengths:
-            n = models.param_count(model, L)
-            cells = []
-            for q in TABLE_QS:
-                rank = index[(L, q)].rank_mode
-                cells += [str(rank), str(n - 1 - rank)]
-            body.append([str(L), str(n)] + cells)
-    else:
-        header = ["L"] + [name for q in TABLE_QS for name in (f"n_unknowns_q{q}", f"r_prime_q{q}", f"gap_prime_q{q}")]
-        body = []
-        for L in lengths:
-            n = models.param_count(model, L)
-            cells = []
-            for q in TABLE_QS:
-                rank = index[(L, q)].rank_mode
-                cells += [str(n + q), str(rank), str(n + q - 1 - rank)]
-            body.append([str(L)] + cells)
+    model, method = TABLES[which]
+    index = _report_cells(results, model, method)
+    joint = method == "eee"
+    names = ("n_unknowns", "r_prime", "gap_prime") if joint else ("r", "gap")
+    header = ["L"] + ([] if joint else ["N"]) + [f"{name}_q{q}" for q in REPORT_QS for name in names]
+    body = []
+    for L in REPORT_GRIDS[model]:
+        n = models.param_count(model, L)
+        row = [L] if joint else [L, n]
+        for q in REPORT_QS:
+            rank = index[(L, q)].rank_mode
+            row += [n + q, rank, n + q - 1 - rank] if joint else [rank, n - 1 - rank]
+        body.append([str(v) for v in row])
     return _format_text_table(header, body), _csv_text(header, body)
 
 
@@ -519,16 +507,14 @@ def emit_figure_data(which: int, results: list[AggregateRow], out_dir) -> list[P
     Columns are L, median error, and the downward/upward deviations to
     the cell's extremes, ready for log-scale error-bar plotting.
     """
-    if which not in FIGURE_GRIDS:
+    if which not in FIGURES:
         raise ValueError(f"no such figure: {which}")
-    method, panels = FIGURE_GRIDS[which]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for model, lengths in panels:
-        index = _indexed_rows(results, model, method)
-        _require_cells(index, model, method, lengths, TABLE_QS)
-        for q in TABLE_QS:
+    for model, lengths in REPORT_GRIDS.items():
+        index = _report_cells(results, model, FIGURES[which])
+        for q in REPORT_QS:
             header = ["L", "median_delta", "lower_dev", "upper_dev"]
             body = []
             for L in lengths:
@@ -540,6 +526,14 @@ def emit_figure_data(which: int, results: list[AggregateRow], out_dir) -> list[P
     return paths
 
 
+def _run_report_grid(model: str, method: str, trials: int, seed: int, out_dir, workers: int) -> list[AggregateRow]:
+    lengths = REPORT_GRIDS[model]
+    return run_experiment(ExperimentConfig(
+        model=model, L_range=(lengths[0], lengths[-1]), q_list=REPORT_QS,
+        trials=trials, seed=seed, methods=(method,), out_dir=str(out_dir), workers=workers,
+    ))
+
+
 def reproduce_table(which: int, trials: int = 200, seed: int = 0, out_dir="results",
                     workers: int = 1) -> tuple[str, str]:
     """Run whatever simulation a reference table needs and render it.
@@ -547,19 +541,11 @@ def reproduce_table(which: int, trials: int = 200, seed: int = 0, out_dir="resul
     Writes ``table{which}.txt`` and ``table{which}.csv`` under out_dir,
     next to the underlying trial data for tables 1-4.
     """
+    if which != 5 and which not in TABLES:
+        raise ValueError(f"no such table: {which}")
     out = Path(out_dir)
-    if which == 5:
-        text, csv_text = render_table(5)
-    else:
-        if which not in TABLE_GRIDS:
-            raise ValueError(f"no such table: {which}")
-        model, method, lengths = TABLE_GRIDS[which]
-        cfg = ExperimentConfig(
-            model=model, L_range=(lengths.start, lengths.stop - 1), q_list=TABLE_QS,
-            trials=trials, seed=seed, methods=(method,), out_dir=str(out), workers=workers,
-        )
-        rows = run_experiment(cfg)
-        text, csv_text = render_table(which, rows)
+    rows = None if which == 5 else _run_report_grid(*TABLES[which], trials, seed, out, workers)
+    text, csv_text = render_table(which, rows)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"table{which}.txt").write_text(text)
     (out / f"table{which}.csv").write_text(csv_text)
@@ -569,15 +555,9 @@ def reproduce_table(which: int, trials: int = 200, seed: int = 0, out_dir="resul
 def reproduce_figure(which: int, trials: int = 200, seed: int = 0, out_dir="results",
                      workers: int = 1) -> list[Path]:
     """Run both panels of a reference figure and write the series files."""
-    if which not in FIGURE_GRIDS:
+    if which not in FIGURES:
         raise ValueError(f"no such figure: {which}")
-    method, panels = FIGURE_GRIDS[which]
     out = Path(out_dir)
-    rows: list[AggregateRow] = []
-    for model, lengths in panels:
-        cfg = ExperimentConfig(
-            model=model, L_range=(lengths.start, lengths.stop - 1), q_list=TABLE_QS,
-            trials=trials, seed=seed, methods=(method,), out_dir=str(out / model), workers=workers,
-        )
-        rows.extend(run_experiment(cfg))
+    rows = [row for model in REPORT_GRIDS
+            for row in _run_report_grid(model, FIGURES[which], trials, seed, out / model, workers)]
     return emit_figure_data(which, rows, out)

@@ -26,14 +26,15 @@ DEFAULT_RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Outcome of one nullspace recovery.
+    """Outcome of one nullspace recovery, on either route.
 
     ``coefficients`` is the unit-norm recovered vector, ``rank`` the
     numeric rank of the constraint matrix, ``gap`` the dimension of the
     ambiguous subspace (number of unknowns minus rank minus one). When
     ``gap`` is positive the recovered vector is an arbitrary unit element
-    of the nullspace and ``unique`` is False. ``reconstruction_error`` is
-    filled in by callers that know the true coefficients.
+    of the nullspace and ``unique`` is False. ``eigenvalues`` holds the
+    energies the joint route recovers alongside, scaled by the same factor
+    as the coefficients; it is None on the commutator route.
     """
 
     coefficients: np.ndarray
@@ -41,7 +42,7 @@ class RecoveryReport:
     gap: int
     sigma_min: float
     unique: bool
-    reconstruction_error: float | None = None
+    eigenvalues: np.ndarray | None = None
 
 
 def constraint_matrix(

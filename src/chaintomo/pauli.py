@@ -53,14 +53,6 @@ class PauliString:
         return self.ops
 
 
-def pauli_matrix(op: str) -> np.ndarray:
-    """Exact 2x2 matrix of a single-site operator ('I', 'X', 'Y' or 'Z')."""
-    try:
-        return PAULI_MATRICES[op].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli symbol {op!r}") from None
-
-
 def string_matrix(s: PauliString | str) -> np.ndarray:
     """Dense matrix of a Pauli string via the Kronecker product over sites.
 
@@ -123,8 +115,3 @@ def expectation(obs: np.ndarray, rho: np.ndarray) -> complex:
         raise ValueError(f"incompatible shapes {obs.shape} and {rho.shape}")
     # Tr(A B) without forming the product matrix.
     return complex(np.sum(obs.T * rho))
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether max |m - m^dagger| is within tol entrywise."""
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)

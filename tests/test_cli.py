@@ -123,6 +123,19 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("trials", 2.5), ("workers", 1.5), ("trials", "3"), ("workers", "2"),
+    ("rank_tol", "1e-10"), ("success_threshold", None),
+])
+def test_run_rejects_bad_config_values(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "h2", "L_range": [2, 2], "q_list": [1], "trials": 1,
+                                    "out_dir": str(tmp_path / "out"), key: value}))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from chaintomo import harness
 from chaintomo.harness import (
     TRIAL_CSV_COLUMNS,
     AggregateRow,
@@ -126,6 +128,13 @@ def test_run_trial_rejects_after_forced_degeneracy(tmp_path, monkeypatch):
     ("methods", ()),
     ("methods", ("hoe", "cheat")),
     ("workers", 0),
+    ("trials", 2.5),
+    ("trials", "3"),
+    ("rank_tol", "1e-10"),
+    ("success_threshold", None),
+    ("out_dir", None),
+    ("workers", 1.5),
+    ("workers", "2"),
 ])
 def test_config_validation_rejects(field, value, tmp_path):
     cfg = _tiny_cfg(tmp_path, **{field: value})
@@ -207,10 +216,23 @@ def test_run_experiment_is_deterministic(tmp_path):
     assert (tmp_path / "a" / "aggregate.json").read_bytes() == (tmp_path / "b" / "aggregate.json").read_bytes()
 
 
-def test_worker_pool_matches_serial(tmp_path):
+def test_worker_pool_matches_serial(tmp_path, caplog, monkeypatch):
     serial = run_experiment(_tiny_cfg(tmp_path / "s", L_range=(2, 2), trials=3))
-    pooled = run_experiment(_tiny_cfg(tmp_path / "p", L_range=(2, 2), trials=3, workers=2))
+    written = []
+    write = harness.write_trials_csv
+
+    def counting_write(path, records):
+        written.append(len(records))
+        write(path, records)
+
+    monkeypatch.setattr(harness, "write_trials_csv", counting_write)
+    with caplog.at_level(logging.INFO, logger="chaintomo.harness"):
+        pooled = run_experiment(_tiny_cfg(tmp_path / "p", L_range=(2, 2), trials=3, workers=2))
     assert serial == pooled
+    # the pool reports each cell as it starts and flushes trials.csv as it ends
+    progress = [r.getMessage() for r in caplog.records if r.getMessage().startswith("running")]
+    assert progress == ["running model=h2 L=2 q=1 (3 trials)", "running model=h2 L=2 q=2 (3 trials)"]
+    assert written == [3, 6, 6]
     text_s = _strip_wall_time((tmp_path / "s" / "trials.csv").read_text())
     text_p = _strip_wall_time((tmp_path / "p" / "trials.csv").read_text())
     assert text_s == text_p
@@ -336,6 +358,7 @@ def test_recover_instance_report():
     assert result["hoe"]["reconstruction_error"] < 1e-6
     assert result["eee"]["reconstruction_error"] < 1e-6
     assert len(result["eee"]["eigenvalues"]) == 2
+    assert "eigenvalues" not in result["hoe"]
     assert result["relations"]["rank_relation_ok"]
     assert result["relations"]["gap_relation_ok"]
     json.dumps(result)  # fully serializable

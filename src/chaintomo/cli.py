@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, eee, harness, models, ranks
+from . import __version__, eee, harness, hoe, models, ranks, spectral
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover one seeded random instance and print the report as JSON")
     _add_instance_args(p)
     p.add_argument("--L", type=int, required=True, help="chain length")
-    p.add_argument("--selection", choices=("lowest", "random"), default="lowest")
-    p.add_argument("--rank-tol", type=float, default=1e-10)
+    p.add_argument("--selection", choices=spectral.SELECTION_POLICIES, default="lowest")
+    p.add_argument("--rank-tol", type=float, default=hoe.DEFAULT_RANK_TOL)
     p.add_argument("--methods", nargs="+", choices=harness.METHODS, default=list(harness.METHODS))
 
     p = sub.add_parser("rank-scan", help="compare measured constraint ranks with the closed form on a grid")
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-list", type=int, nargs="+")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--selection-policy", choices=("lowest", "random"))
+    p.add_argument("--selection-policy", choices=spectral.SELECTION_POLICIES)
     p.add_argument("--rank-tol", type=float)
     p.add_argument("--success-threshold", type=float)
     p.add_argument("--methods", nargs="+", choices=harness.METHODS)
@@ -80,10 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_recover(args) -> int:
-    harness.ExperimentConfig(
-        args.model, (args.L, args.L), (args.q,), seed=args.seed, selection_policy=args.selection,
-        rank_tol=args.rank_tol, methods=tuple(args.methods),
-    ).validate()
     result = harness.recover_instance(
         args.model, args.L, args.q, seed=args.seed, selection=args.selection,
         rank_tol=args.rank_tol, methods=tuple(args.methods),
@@ -104,24 +100,19 @@ def cmd_rank_scan(args) -> int:
     if all(q > 2**L for L, q in cfg.cells()):
         raise harness.ConfigError(f"every q in {list(cfg.q_list)} exceeds the Hilbert dimension up to L={args.L_max}")
     print(f"{'L':>3} {'q':>3} {'N':>5} {'r':>5} {'r_pred':>7} {'r_prime':>8} {'r_prime_pred':>13} {'ok':>4}")
+    # the rank field of each route, named alike on TrialRecord and predict_ranks
+    fields = [rank_field for _, rank_field, _ in harness.ROUTE_FIELDS.values()]
     all_ok = True
     for L, q in cfg.cells():
         if q > 2**L:
             print(f"{L:>3} {q:>3} skipped: q exceeds the Hilbert dimension {2**L}")
             continue
         pred = ranks.predict_ranks(args.model, L, q)
-        measured_r = set()
-        measured_rp = set()
-        for t in range(args.trials):
-            rec = harness.run_trial(cfg, args.model, L, q, t)
-            if rec.rejected:
-                continue
-            measured_r.add(rec.r)
-            measured_rp.add(rec.r_prime)
-        ok = measured_r == {pred.r} and measured_rp == {pred.r_prime}
+        records = [harness.run_trial(cfg, args.model, L, q, t) for t in range(args.trials)]
+        measured = {f: sorted({getattr(rec, f) for rec in records if not rec.rejected}) for f in fields}
+        ok = all(measured[f] == [getattr(pred, f)] for f in fields)
         all_ok &= ok
-        r_text = "/".join(str(v) for v in sorted(measured_r)) or "-"
-        rp_text = "/".join(str(v) for v in sorted(measured_rp)) or "-"
+        r_text, rp_text = ("/".join(str(v) for v in measured[f]) or "-" for f in fields)
         print(f"{L:>3} {q:>3} {pred.n_params:>5} {r_text:>5} {pred.r:>7} {rp_text:>8} {pred.r_prime:>13} {'yes' if ok else 'NO':>4}")
     if not all_ok:
         raise harness.NumericalFailureError("measured ranks deviate from the closed form")

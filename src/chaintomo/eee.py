@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hoe import DEFAULT_RANK_TOL, RecoveryReport, nullspace
+from .hoe import DEFAULT_RANK_TOL, DegenerateRecoveryError, RecoveryReport, check_state, nullspace_report
 from .models import TermBasis, term_amplitudes
 from .spectral import SteadyState
 
-
-class DegenerateRecoveryError(RuntimeError):
-    """The nullspace vector has a vanishing coefficient block."""
+# DegenerateRecoveryError is raised in the shared recovery body and stays
+# importable from here, the one route that can raise it
 
 
 @dataclass(frozen=True)
@@ -43,29 +42,19 @@ class MethodComparison:
     aligned_distance: float | None
 
 
-def constraint_matrix(basis: TermBasis, states: SteadyState | np.ndarray) -> np.ndarray:
+def constraint_matrix(basis: TermBasis, state: SteadyState) -> np.ndarray:
     """Real block matrix of the componentwise eigenvalue equations.
 
-    ``states`` holds q eigenvectors as columns (a SteadyState works too).
-    Row layout is fixed: for each state in ascending energy order, first
-    the real parts of its 2**L equations, then the imaginary parts. The
-    last q columns carry -psi_mu in column mu, pairing eigenvalue mu with
-    its state.
+    Row layout is fixed: for each mixed state in ascending energy order,
+    first the real parts of its 2**L equations, then the imaginary parts.
+    The last q columns carry -psi_mu in column mu, pairing eigenvalue mu
+    with its state.
     """
-    if isinstance(states, SteadyState):
-        states = states.states
-    states = np.asarray(states, dtype=complex)
-    if states.ndim == 1:
-        states = states[:, None]
-    dim, q = states.shape
-    if q == 0:
-        raise ValueError("need at least one state")
-    if dim != basis.dim:
-        raise ValueError(f"state dimension {dim} != basis dimension {basis.dim}")
-    n = basis.n_params
+    check_state(basis, state)
+    dim, n, q = basis.dim, basis.n_params, state.q
     out = np.zeros((2 * dim * q, n + q))
     for mu in range(q):
-        psi = states[:, mu]
+        psi = state.states[:, mu]
         amps = term_amplitudes(basis, psi)
         top = 2 * dim * mu
         block = out[top : top + 2 * dim]
@@ -85,26 +74,10 @@ def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) 
     which only happens for degenerate instances where no unit-coefficient
     solution exists in the ambiguous subspace.
     """
-    qmat = np.asarray(qmat, dtype=float)
-    if qmat.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {qmat.shape}")
-    if not 0 < n_params < qmat.shape[1]:
-        raise ValueError(f"n_params={n_params} incompatible with {qmat.shape[1]} columns")
-    if not np.any(qmat):
-        raise ValueError("constraint matrix is identically zero")
-    rank, gap, sigma_min, x = nullspace(qmat, tol_rel)
-    a_raw = x[:n_params]
-    norm_a = np.linalg.norm(a_raw)
-    if norm_a < 1e-12:
-        raise DegenerateRecoveryError("null vector has no coefficient component")
-    return RecoveryReport(
-        coefficients=a_raw / norm_a,
-        rank=rank,
-        gap=gap,
-        sigma_min=sigma_min,
-        unique=gap == 0,
-        eigenvalues=x[n_params:] / norm_a,
-    )
+    # any other shape is rejected by the shared body
+    if np.ndim(qmat) == 2 and not 0 < n_params < np.shape(qmat)[1]:
+        raise ValueError(f"n_params={n_params} incompatible with {np.shape(qmat)[1]} columns")
+    return nullspace_report(qmat, tol_rel, n_params)
 
 
 def compare_methods(hoe_report: RecoveryReport, joint: RecoveryReport, q: int) -> MethodComparison:

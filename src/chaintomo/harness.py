@@ -21,7 +21,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,7 +33,10 @@ log = logging.getLogger(__name__)
 
 KIND_ID = {"h2": 0, "h2prime": 1, "h3": 2, "h3table": 3}
 
-METHODS = ("hoe", "eee")
+# the TrialRecord fields (delta, rank, gap) that score each recovery route
+ROUTE_FIELDS = {"hoe": ("delta_hoe", "r", "delta_gap"), "eee": ("delta_eee", "r_prime", "delta_gap_prime")}
+
+METHODS = tuple(ROUTE_FIELDS)
 
 MAX_DEGENERACY_RETRIES = 16
 
@@ -81,7 +84,7 @@ class ExperimentConfig:
     trials: int = 200
     seed: int = 0
     selection_policy: str = "lowest"
-    rank_tol: float = 1e-10
+    rank_tol: float = hoe.DEFAULT_RANK_TOL
     success_threshold: float = 1e-6
     methods: tuple[str, ...] = ("hoe", "eee")
     out_dir: str = "results"
@@ -240,24 +243,33 @@ def draw_instance(model: str, L: int, q: int, seed: int, trial_index: int,
     return basis, a_true, None, retry
 
 
-def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: tuple[str, ...], rank_tol: float,
-                instance: str):
-    """Run the selected recovery routes on one drawn instance.
-
-    Returns ``(hoe_report, joint, relations)``, None for what did not run.
-    A failed factorization or a joint vector with no coefficient block is
-    raised as NumericalFailureError naming ``instance``.
-    """
-    hoe_report = joint = None
+@contextmanager
+def _naming_failures(instance: str):
+    """Re-raise a failed eigensolve or factorization, or a joint vector with
+    no coefficient block, as NumericalFailureError naming ``instance``."""
     try:
-        if "hoe" in methods:
-            hoe_report = hoe.recover(hoe.constraint_matrix(basis, state), rank_tol)
-        if "eee" in methods:
-            joint = eee.recover(eee.constraint_matrix(basis, state), basis.n_params, rank_tol)
+        yield
     except (eee.DegenerateRecoveryError, np.linalg.LinAlgError) as exc:
         raise NumericalFailureError(f"recovery failed at {instance}: {exc}") from exc
-    both = hoe_report is not None and joint is not None
-    return hoe_report, joint, eee.compare_methods(hoe_report, joint, state.q) if both else None
+
+
+def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: tuple[str, ...], rank_tol: float):
+    """Run the selected recovery routes on one drawn instance.
+
+    Returns ``(reports, relations)``: the reports keyed by method in METHODS
+    order, and the cross-route checks when both routes ran (else None).
+    """
+    reports = {}
+    if "hoe" in methods:
+        reports["hoe"] = hoe.recover(hoe.constraint_matrix(basis, state), rank_tol)
+    if "eee" in methods:
+        reports["eee"] = eee.recover(eee.constraint_matrix(basis, state), basis.n_params, rank_tol)
+    return reports, eee.compare_methods(reports["hoe"], reports["eee"], state.q) if len(reports) == 2 else None
+
+
+def _score(report: hoe.RecoveryReport, a_true: np.ndarray) -> tuple[float, int, int]:
+    """A route's (delta, rank, gap): the values ROUTE_FIELDS names on a TrialRecord."""
+    return hoe.reconstruction_error(a_true, report.coefficients), report.rank, report.gap
 
 
 def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: int) -> TrialRecord:
@@ -265,29 +277,23 @@ def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: in
 
     Deterministic given its arguments. Degenerate eigenvalue picks trigger
     a full resample on a fresh retry stream, at most 16 times; after that
-    the trial is marked rejected rather than silently skipped.
+    the trial is marked rejected rather than silently skipped. A failed
+    eigensolve or recovery raises NumericalFailureError naming the trial.
     """
     t0 = time.perf_counter()
-    basis, a_true, state, retry = draw_instance(model, L, q, cfg.seed, trial_index, cfg.selection_policy)
-    record = dict(model=model, L=L, q=q, trial_index=trial_index,
-                  seed_stream_id=f"{cfg.seed}-{KIND_ID[model]}-{L}-{q}-{trial_index}-{retry}",
-                  delta_hoe=None, delta_eee=None, r=None, r_prime=None,
-                  delta_gap=None, delta_gap_prime=None, relations_ok=None, rejected=state is None)
+    with _naming_failures(f"model={model} L={L} q={q} trial={trial_index}"):
+        basis, a_true, state, retry = draw_instance(model, L, q, cfg.seed, trial_index, cfg.selection_policy)
+        reports, rel = ({}, None) if state is None else _run_routes(basis, state, cfg.methods, cfg.rank_tol)
     if state is None:
         log.warning("trial rejected after %d retries: model=%s L=%d q=%d trial=%d",
                     MAX_DEGENERACY_RETRIES, model, L, q, trial_index)
-        return TrialRecord(**record, wall_time_s=time.perf_counter() - t0)
-    hoe_report, joint, rel = _run_routes(basis, state, cfg.methods, cfg.rank_tol,
-                                        f"model={model} L={L} q={q} trial={trial_index}")
-    if hoe_report is not None:
-        record.update(delta_hoe=hoe.reconstruction_error(a_true, hoe_report.coefficients),
-                      r=hoe_report.rank, delta_gap=hoe_report.gap)
-    if joint is not None:
-        record.update(delta_eee=hoe.reconstruction_error(a_true, joint.coefficients),
-                      r_prime=joint.rank, delta_gap_prime=joint.gap)
-    if rel is not None:
-        record.update(relations_ok=rel.rank_relation_ok and rel.gap_relation_ok)
-    return TrialRecord(**record, wall_time_s=time.perf_counter() - t0)
+    scores = dict.fromkeys(field for fields in ROUTE_FIELDS.values() for field in fields)
+    for method, report in reports.items():
+        scores.update(zip(ROUTE_FIELDS[method], _score(report, a_true)))
+    return TrialRecord(model=model, L=L, q=q, trial_index=trial_index,
+                       seed_stream_id=f"{cfg.seed}-{KIND_ID[model]}-{L}-{q}-{trial_index}-{retry}", **scores,
+                       relations_ok=None if rel is None else rel.rank_relation_ok and rel.gap_relation_ok,
+                       rejected=state is None, wall_time_s=time.perf_counter() - t0)
 
 
 def _trial_task(args) -> TrialRecord:
@@ -311,8 +317,9 @@ def aggregate(records: list[TrialRecord], methods: tuple[str, ...], success_thre
         if not accepted:
             raise NumericalFailureError(f"all trials rejected for model={model} L={L} q={q}")
         for method in methods:
-            deltas = np.array([rec.delta_hoe if method == "hoe" else rec.delta_eee for rec in accepted])
-            rank_values = [rec.r if method == "hoe" else rec.r_prime for rec in accepted]
+            delta_field, rank_field, _ = ROUTE_FIELDS[method]
+            deltas = np.array([getattr(rec, delta_field) for rec in accepted])
+            rank_values = [getattr(rec, rank_field) for rec in accepted]
             median = float(np.median(deltas))
             mode, _ = Counter(rank_values).most_common(1)[0]
             constant = len(set(rank_values)) == 1
@@ -340,17 +347,8 @@ def _csv_cell(value) -> str:
 
 
 def trials_csv_text(records: list[TrialRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRIAL_CSV_COLUMNS)
-    for rec in records:
-        writer.writerow([_csv_cell(v) for v in (
-            rec.model, rec.L, rec.q, rec.trial_index,
-            rec.delta_hoe, rec.delta_eee, rec.r, rec.r_prime,
-            rec.delta_gap, rec.delta_gap_prime,
-            rec.relations_ok, rec.rejected, rec.wall_time_s,
-        )])
-    return buf.getvalue()
+    fields = ["trial_index" if column == "trial" else column for column in TRIAL_CSV_COLUMNS]
+    return _csv_text(list(TRIAL_CSV_COLUMNS), [[_csv_cell(getattr(rec, f)) for f in fields] for rec in records])
 
 
 def write_trials_csv(path, records: list[TrialRecord]) -> None:
@@ -397,36 +395,39 @@ def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
 
 
 def recover_instance(model: str, L: int, q: int, seed: int = 0, selection: str = "lowest",
-                     rank_tol: float = 1e-10, methods: tuple[str, ...] = METHODS) -> dict:
+                     rank_tol: float = hoe.DEFAULT_RANK_TOL, methods: tuple[str, ...] = METHODS) -> dict:
     """One fully reported recovery on a seeded random instance.
 
     Unlike run_trial this keeps the recovered vectors, so the result is a
     JSON-friendly dict with per-method reports plus the cross-method
     relation checks. Uses the same seed streams as the sweep runner:
-    trial index 0 of the given master seed.
+    trial index 0 of the given master seed. Bad arguments raise ConfigError.
     """
+    ExperimentConfig(model, (L, L), (q,), seed=seed, selection_policy=selection, rank_tol=rank_tol,
+                     methods=methods).validate()
     instance = f"model={model} L={L} q={q} seed={seed}"
-    basis, a_true, state, _ = draw_instance(model, L, q, seed, 0, selection)
-    if state is None:
-        raise NumericalFailureError(f"no non-degenerate state at {instance} in {MAX_DEGENERACY_RETRIES} retries")
-    hoe_report, joint, rel = _run_routes(basis, state, methods, rank_tol, instance)
+    with _naming_failures(instance):
+        basis, a_true, state, _ = draw_instance(model, L, q, seed, 0, selection)
+        if state is None:
+            raise NumericalFailureError(f"no non-degenerate state at {instance} in {MAX_DEGENERACY_RETRIES} retries")
+        reports, rel = _run_routes(basis, state, methods, rank_tol)
     result: dict = {
         "model": model, "L": L, "q": q, "seed": seed, "selection": selection,
         "n_params": basis.n_params,
         "true_coefficients": [float(v) for v in a_true],
     }
-    for method, report in (("hoe", hoe_report), ("eee", joint)):
-        if report is not None:
-            result[method] = {
-                "rank": report.rank,
-                "gap": report.gap,
-                "sigma_min": report.sigma_min,
-                "unique": report.unique,
-                "reconstruction_error": hoe.reconstruction_error(a_true, report.coefficients),
-                "coefficients": [float(v) for v in report.coefficients],
-            }
-            if report.eigenvalues is not None:
-                result[method]["eigenvalues"] = [float(v) for v in report.eigenvalues]
+    for method, report in reports.items():
+        delta, rank, gap = _score(report, a_true)
+        result[method] = {
+            "rank": rank,
+            "gap": gap,
+            "sigma_min": report.sigma_min,
+            "unique": report.unique,
+            "reconstruction_error": delta,
+            "coefficients": [float(v) for v in report.coefficients],
+        }
+        if report.eigenvalues is not None:
+            result[method]["eigenvalues"] = [float(v) for v in report.eigenvalues]
     if rel is not None:
         result["relations"] = asdict(rel)
     return result

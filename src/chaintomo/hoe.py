@@ -24,6 +24,10 @@ from .spectral import SteadyState
 DEFAULT_RANK_TOL = 1e-10
 
 
+class DegenerateRecoveryError(RuntimeError):
+    """The nullspace vector has a vanishing coefficient block."""
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     """Outcome of one nullspace recovery, on either route.
@@ -45,6 +49,14 @@ class RecoveryReport:
     eigenvalues: np.ndarray | None = None
 
 
+def check_state(basis: TermBasis, state: SteadyState) -> None:
+    """The one state check of both routes' constraint builders."""
+    if not isinstance(state, SteadyState):
+        raise TypeError(f"expected a SteadyState, got {type(state).__name__}")
+    if state.dim != basis.dim:
+        raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
+
+
 def constraint_matrix(
     basis: TermBasis,
     state: SteadyState,
@@ -63,10 +75,7 @@ def constraint_matrix(
     w = h_n|psi_mu> and u = K_m|psi_mu>, <i[K_m, h_n]>_mu = -2 Im(u^H w),
     which avoids any dim x dim products.
     """
-    if not isinstance(state, SteadyState):
-        raise TypeError(f"expected a SteadyState, got {type(state).__name__}")
-    if state.dim != basis.dim:
-        raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
+    check_state(basis, state)
     if observables is not None:
         if len(observables) == 0:
             raise ValueError("observable list must not be empty")
@@ -102,6 +111,33 @@ def numeric_rank(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     return nullspace(m, tol_rel)[0]
 
 
+def nullspace_report(m: np.ndarray, tol_rel: float, n_params: int | None = None) -> RecoveryReport:
+    """The recovery body of both routes: validate, factor, report.
+
+    The lowest right-singular vector is rescaled so its leading ``n_params``
+    entries (all of them when None) have unit norm; on the joint route the
+    trailing entries are the eigenvalues under the same scale. Raises
+    DegenerateRecoveryError when that leading block vanishes.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {m.shape}")
+    if not np.any(m):
+        raise ValueError("constraint matrix is identically zero")
+    rank, gap, sigma_min, x = nullspace(m, tol_rel)
+    norm_a = np.linalg.norm(x[:n_params])
+    if norm_a < 1e-12:
+        raise DegenerateRecoveryError("null vector has no coefficient component")
+    return RecoveryReport(
+        coefficients=x[:n_params] / norm_a,
+        rank=rank,
+        gap=gap,
+        sigma_min=sigma_min,
+        unique=gap == 0,
+        eigenvalues=None if n_params is None else x[n_params:] / norm_a,
+    )
+
+
 def recover(g: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:
     """Recover unit-norm coefficients as the lowest right-singular vector.
 
@@ -109,19 +145,7 @@ def recover(g: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:
     rank of G and the resulting ambiguity gap; a positive gap means the
     minimizer is not unique and the returned vector is one arbitrary choice.
     """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {g.shape}")
-    if not np.any(g):
-        raise ValueError("constraint matrix is identically zero")
-    rank, gap, sigma_min, a = nullspace(g, tol_rel)
-    return RecoveryReport(
-        coefficients=a / np.linalg.norm(a),
-        rank=rank,
-        gap=gap,
-        sigma_min=sigma_min,
-        unique=gap == 0,
-    )
+    return nullspace_report(g, tol_rel)
 
 
 def reconstruction_error(a_true: np.ndarray, a_recovered: np.ndarray) -> float:

@@ -145,21 +145,14 @@ def _draw_probs(q: int, rng: np.random.Generator) -> np.ndarray:
     raise RuntimeError(f"could not draw {q} well-separated probabilities")
 
 
-def build_steady_state(
-    eig: EigDecomposition,
-    q: int,
-    selection: str = "lowest",
-    rng_seed=0,
-    probs: np.ndarray | None = None,
-) -> SteadyState:
+def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest", rng_seed=0) -> SteadyState:
     """Mix q eigenstates of a decomposed Hamiltonian into a steady state.
 
     ``selection`` picks which eigenstates enter the mixture: ``lowest``
     takes the q smallest eigenvalues, ``random`` takes q distinct uniform
     picks. Probabilities are drawn uniformly from the simplex with a
-    minimum pairwise gap of 1e-3 unless passed explicitly. Every decision
-    is made on the eigenvalues; eigenvectors are then computed for the
-    picked states only.
+    minimum pairwise gap of 1e-3. Every decision is made on the
+    eigenvalues; eigenvectors are then computed for the picked states only.
 
     Raises DegenerateSpectrumError when any two selected eigenvalues are
     closer than 1e-10 times the spectral range; callers resample the
@@ -182,15 +175,6 @@ def build_steady_state(
             raise DegenerateSpectrumError(
                 f"selected eigenvalues nearly degenerate (gap {gap:.3e})"
             )
-    if probs is None:
-        p = _draw_probs(q, rng)
-    else:
-        p = np.asarray(probs, dtype=float)
-        if p.shape != (q,):
-            raise ValueError(f"expected {q} probabilities, got shape {p.shape}")
-        if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be positive and sum to 1")
-        if q > 1 and np.diff(np.sort(p)).min() == 0:
-            raise ValueError("probabilities must be pairwise distinct")
+    probs = _draw_probs(q, rng)
     states = _picked_eigenvectors(eig.matrix, eig.eigenvalues, idx)
-    return SteadyState(q=q, states=states, probs=p, energies=energies)
+    return SteadyState(q=q, states=states, probs=probs, energies=energies)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from chaintomo import cli, eee, harness
+from chaintomo import cli, eee, harness, spectral
 from reference_grids import H2_RANK
 
 
@@ -168,6 +168,16 @@ def test_exit_code_for_numerical_failure(tmp_path, monkeypatch, capsys):
     cfg_path.write_text(json.dumps({"model": "h2", "L_range": [3, 3], "q_list": [2], "trials": 1}))
     assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 4
     assert "model=h2 L=3 q=2 trial=0: SVD did not converge" in capsys.readouterr().err
+
+    # so does a failed eigensolve while the instance is drawn
+    def failing_eigensolve(*args, **kwargs):
+        raise np.linalg.LinAlgError("shifted matrix exactly singular")
+
+    monkeypatch.setattr(spectral, "_picked_eigenvectors", failing_eigensolve)
+    assert cli.main(["recover", "--model", "h2", "--L", "3", "--q", "2", "--seed", "4"]) == 4
+    assert "model=h2 L=3 q=2 seed=4: shifted matrix exactly singular" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 4
+    assert "model=h2 L=3 q=2 trial=0: shifted matrix exactly singular" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two():

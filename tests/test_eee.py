@@ -13,7 +13,7 @@ from chaintomo.models import (
     term_amplitudes,
 )
 from chaintomo.pauli import PauliString
-from chaintomo.spectral import build_steady_state, eig_hermitian
+from chaintomo.spectral import SteadyState, build_steady_state, eig_hermitian
 
 
 def _instance(kind="h2", L=3, q=2, seed=0):
@@ -28,8 +28,8 @@ def test_single_qubit_by_hand():
     # H = a Z with a = 1; the spin-up state has energy +1, so the
     # stacked unknowns (a, E) solve [[1, -1], [0, 0], [0, 0], [0, 0]].
     basis = TermBasis(kind="h2", L=1, terms=(PauliString("Z"),))
-    psi = np.array([1.0, 0.0])
-    qmat = eee.constraint_matrix(basis, psi)
+    up = SteadyState(q=1, states=np.array([[1.0], [0.0]]), probs=np.ones(1), energies=np.ones(1))
+    qmat = eee.constraint_matrix(basis, up)
     assert np.array_equal(qmat, [[1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     joint = eee.recover(qmat, n_params=1)
     assert joint.rank == 1
@@ -98,22 +98,16 @@ def test_recovered_pair_solves_eigenvalue_equations():
     assert joint.eigenvalues == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
-def test_single_state_input_forms():
-    basis, _, _, state = _instance(L=2, q=1, seed=6)
-    psi = state.states[:, 0]
-    from_1d = eee.constraint_matrix(basis, psi)
-    from_2d = eee.constraint_matrix(basis, psi[:, None])
-    from_state = eee.constraint_matrix(basis, state)
-    assert np.array_equal(from_1d, from_2d)
-    assert np.array_equal(from_1d, from_state)
-
-
 def test_input_validation():
     basis = enumerate_terms("h2", 2)
+    _, _, _, state = _instance(L=2, q=1, seed=6)
+    # only a SteadyState is accepted, as on the commutator route
+    for bare in (state.states, state.states[:, 0], state.rho):
+        with pytest.raises(TypeError):
+            eee.constraint_matrix(basis, bare)
+    _, _, _, longer = _instance(L=3, q=1, seed=6)
     with pytest.raises(ValueError):
-        eee.constraint_matrix(basis, np.empty((4, 0)))
-    with pytest.raises(ValueError):
-        eee.constraint_matrix(basis, np.zeros(8, dtype=complex))
+        eee.constraint_matrix(basis, longer)
     with pytest.raises(ValueError):
         eee.recover(np.zeros((3, 4)), 2)
     with pytest.raises(ValueError):

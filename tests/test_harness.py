@@ -111,6 +111,26 @@ def test_run_trial_rejects_after_forced_degeneracy(tmp_path, monkeypatch):
         recover_instance("h2", 2, 1, seed=0)
 
 
+@pytest.mark.parametrize("model,L,q,methods", [
+    ("h2", 3, 2, ("hoe", "eee")),  # gap 0
+    ("h2", 2, 3, ("hoe", "eee")),  # gap > 0
+    ("h2", 3, 2, ("hoe",)),
+])
+def test_run_trial_and_recover_instance_score_alike(model, L, q, methods, tmp_path):
+    cfg = _tiny_cfg(tmp_path, seed=7, methods=methods)
+    rec = run_trial(cfg, model, L, q, 0)
+    result = recover_instance(model, L, q, seed=7, methods=methods)
+    for method, (delta, rank, gap) in harness.ROUTE_FIELDS.items():
+        if method not in methods:
+            assert method not in result
+            assert getattr(rec, delta) is getattr(rec, rank) is getattr(rec, gap) is None
+            continue
+        assert getattr(rec, delta) == result[method]["reconstruction_error"]
+        assert getattr(rec, rank) == result[method]["rank"]
+        assert getattr(rec, gap) == result[method]["gap"]
+    assert predict_ranks(model, L, q).gap == rec.delta_gap
+
+
 @pytest.mark.parametrize("field,value", [
     ("model", "h9"),
     ("L_range", (3,)),

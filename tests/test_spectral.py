@@ -143,23 +143,10 @@ def test_pure_state_is_projector():
 
 def test_explicit_probs_become_rho_spectrum():
     _, _, h = _random_instance(seed=4)
-    state = build_steady_state(eig_hermitian(h), 2, "lowest", 0, probs=np.array([0.7, 0.3]))
+    state = build_steady_state(eig_hermitian(h), 2, "lowest", 0)
     vals = np.linalg.eigvalsh(state.rho)
-    assert np.allclose(sorted(vals)[-2:], [0.3, 0.7], atol=1e-12)
+    assert np.allclose(vals[-2:], np.sort(state.probs), atol=1e-12)
     assert np.allclose(vals[:-2], 0, atol=1e-12)
-
-
-def test_probs_validation():
-    _, _, h = _random_instance(seed=5)
-    eig = eig_hermitian(h)
-    with pytest.raises(ValueError):
-        build_steady_state(eig, 2, "lowest", 0, probs=np.array([0.7, 0.2]))
-    with pytest.raises(ValueError):
-        build_steady_state(eig, 2, "lowest", 0, probs=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        build_steady_state(eig, 2, "lowest", 0, probs=np.array([1.2, -0.2]))
-    with pytest.raises(ValueError):
-        build_steady_state(eig, 2, "lowest", 0, probs=np.array([1.0]))
 
 
 def test_q_and_policy_validation():

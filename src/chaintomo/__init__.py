@@ -38,7 +38,6 @@ from .models import (
 )
 from .pauli import PauliString, action_table, apply_string, commutator, expectation, string_matrix
 from .ranks import (
-    CriticalLength,
     RankPrediction,
     constraint_capacity,
     counting_bound,
@@ -59,7 +58,6 @@ from . import eee, hoe
 __all__ = [
     "AggregateRow",
     "ConfigError",
-    "CriticalLength",
     "DegenerateRecoveryError",
     "DegenerateSpectrumError",
     "EigDecomposition",

@@ -48,11 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("critical-length", help="minimal chain length for unique recovery")
+    p = sub.add_parser("critical-length", help="counting threshold (Table 5); ranks.predict_ranks marks the one "
+                       "cell, h2prime q=3, where unique recovery starts one length later")
     p.add_argument("--model", required=True, choices=models.MODEL_KINDS)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--q", type=int, help="single mixture rank")
-    group.add_argument("--q-max", type=int, default=None, help="print q = 1..q_max (default 6)")
+    p.add_argument("--q", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6], help="numbers of mixed eigenstates")
 
     p = sub.add_parser("reproduce", help="rerun a reference table or figure and write its files")
     group = p.add_mutually_exclusive_group(required=True)
@@ -120,14 +119,10 @@ def cmd_rank_scan(args) -> int:
 
 
 def cmd_critical_length(args) -> int:
-    if args.q is not None:
-        result = ranks.critical_length(args.model, args.q)
-        print(f"model={result.kind} q={result.q} L_c={result.L_c}")
-    else:
-        q_max = args.q_max if args.q_max is not None else 6
-        grid = ranks.critical_length_grid(q_max=q_max, kinds=(args.model,))
-        for q, value in enumerate(grid[args.model], start=1):
-            print(f"model={args.model} q={q} L_c={value}")
+    if min(args.q) < 1:
+        raise harness.ConfigError(f"q must be at least 1, got {min(args.q)}")
+    for q in args.q:
+        print(f"model={args.model} q={q} L_c={ranks.critical_length(args.model, q)}")
     return 0
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .models import MODEL_KINDS, min_length, param_count
+from .models import min_length, param_count
 
 # Verified rank deficits of the constraint system itself, keyed by
 # (kind, L, q). These are independent of the sampled coefficients and of
@@ -72,13 +72,6 @@ class RankPrediction:
     gap: int
     gap_prime: int
     recoverable: bool
-
-
-@dataclass(frozen=True)
-class CriticalLength:
-    kind: str
-    q: int
-    L_c: int
 
 
 def constraint_capacity(L: int, q: int) -> int:
@@ -125,39 +118,27 @@ def recovery_condition(kind: str, L: int, q: int) -> bool:
     return constraint_capacity(L, q) >= param_count(kind, L) - 1
 
 
-def critical_length(kind: str, q: int, L_max: int = 64) -> CriticalLength:
+def critical_length(kind: str, q: int) -> int:
     """Smallest valid chain length whose capacity reaches N - 1 for this q.
 
-    Lengths where q exceeds the Hilbert-space dimension are skipped: a
-    mixture of q eigenstates needs at least q dimensions. This is the
-    counting threshold; see the module docstring for the one known cell
-    where recovery first succeeds one length later.
+    The search starts at the first length that fits the family and holds
+    q eigenstates (q <= 2**L). The capacity grows as 2**L while N grows
+    linearly, so it always ends. This is the counting threshold; see the
+    module docstring for the one known cell where recovery first succeeds
+    one length later.
     """
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    for L in range(min_length(kind), L_max + 1):
-        if q > 2**L:
-            continue
-        if recovery_condition(kind, L, q):
-            return CriticalLength(kind=kind, q=q, L_c=L)
-    raise ValueError(f"no critical length up to L_max={L_max} for kind={kind!r}, q={q}")
+    L = max(min_length(kind), (q - 1).bit_length())
+    while not recovery_condition(kind, L, q):
+        L += 1
+    return L
 
 
-def critical_length_grid(
-    q_max: int = 6,
-    kinds: tuple[str, ...] = ("h2", "h2prime", "h3"),
-) -> dict[str, tuple[int, ...]]:
-    """Critical lengths for q = 1..q_max, one row per model kind.
+def critical_length_grid() -> dict[str, tuple[int, ...]]:
+    """Table 5: critical lengths for q = 1..6, one row per model kind.
 
-    The default rows cover the on-site/nearest-neighbor family, its
-    next-nearest extension, and the strictly three-body family.
+    The rows cover the on-site/nearest-neighbor family, its next-nearest
+    extension, and the strictly three-body family.
     """
-    if q_max < 1:
-        raise ValueError(f"q_max must be at least 1, got {q_max}")
-    for kind in kinds:
-        if kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {kind!r}")
-    return {
-        kind: tuple(critical_length(kind, q).L_c for q in range(1, q_max + 1))
-        for kind in kinds
-    }
+    return {kind: tuple(critical_length(kind, q) for q in range(1, 7)) for kind in ("h2", "h2prime", "h3")}

@@ -1,12 +1,16 @@
 """Command-line interface: argument handling, output, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chaintomo import cli, eee, harness, spectral
 from reference_grids import H2_RANK
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_recover_prints_json_report(capsys):
@@ -32,6 +36,8 @@ def test_recover_single_method(capsys):
 def test_critical_length_single(capsys):
     assert cli.main(["critical-length", "--model", "h2", "--q", "1"]) == 0
     assert capsys.readouterr().out == "model=h2 q=1 L_c=5\n"
+    assert cli.main(["critical-length", "--model", "h2", "--q", "1", "3"]) == 0
+    assert capsys.readouterr().out == "model=h2 q=1 L_c=5\nmodel=h2 q=3 L_c=3\n"
 
 
 def test_critical_length_grid(capsys):
@@ -180,7 +186,7 @@ def test_exit_code_for_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "model=h2 L=3 q=2 trial=0: shifted matrix exactly singular" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "--table", "9"])
     assert exc.value.code == 2
@@ -196,6 +202,24 @@ def test_usage_errors_exit_two():
     for args in (["--model", "h2", "--L", "1"], ["--model", "h2", "--L", "2", "--q", "0"],
                  ["--model", "h2", "--L", "2", "--q", "5"], ["--model", "h2prime", "--L", "2"]):
         assert cli.main(["recover", *args]) == 2, args
+    # a q below 1 anywhere in the list fails before any line is printed
+    for qs in (["0"], ["2", "-3"]):
+        capsys.readouterr()
+        assert cli.main(["critical-length", "--model", "h2", "--q", *qs]) == 2, qs
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text().split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("chaintomo ")]
+    assert len(lines) == 7
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 def test_version_flag(capsys):

@@ -194,25 +194,23 @@ def test_recovery_condition_matches_gap():
 
 
 def test_critical_lengths():
-    assert critical_length("h2", 1).L_c == 5
-    assert critical_length("h2prime", 2).L_c == 4
-    assert critical_length("h3", 6).L_c == 3
+    assert critical_length("h2", 1) == 5
+    assert critical_length("h2prime", 2) == 4
+    assert critical_length("h3", 6) == 3
     for kind, row in CRITICAL_LENGTHS.items():
         for q, want in enumerate(row, start=1):
-            got = critical_length(kind, q)
-            assert got.L_c == want, (kind, q)
-            assert got.kind == kind and got.q == q
+            assert critical_length(kind, q) == want, (kind, q)
 
 
 def test_critical_length_row_for_full_triple_family():
-    got = tuple(critical_length("h3table", q).L_c for q in range(1, 7))
+    got = tuple(critical_length("h3table", q) for q in range(1, 7))
     assert got == (7, 6, 5, 5, 4, 4)
 
 
 def test_critical_length_is_the_first_recoverable_length():
     for kind in ("h2", "h2prime", "h3", "h3table"):
         for q in range(1, 7):
-            lc = critical_length(kind, q).L_c
+            lc = critical_length(kind, q)
             assert recovery_condition(kind, lc, q)
             prev = lc - 1
             if prev >= min_length(kind) and q <= 2**prev:
@@ -225,20 +223,26 @@ def test_grid_defaults():
     assert tuple(grid) == ("h2", "h2prime", "h3")
 
 
-def test_grid_options_and_errors():
-    small = critical_length_grid(q_max=2, kinds=("h2",))
-    assert small == {"h2": (5, 3)}
-    with pytest.raises(ValueError):
-        critical_length_grid(q_max=0)
-    with pytest.raises(ValueError):
-        critical_length_grid(kinds=("h2", "bogus"))
-    with pytest.raises(ValueError):
-        critical_length(kind="h2", q=0)
+def test_critical_length_rejects_q_below_one():
+    for q in (0, -3):
+        with pytest.raises(ValueError):
+            critical_length(kind="h2", q=q)
+
+
+def test_critical_length_matches_a_brute_scan():
+    # the search has no upper limit: it starts where the family fits and
+    # q states fit, and the capacity outgrows N, so it ends for any q
+    for kind in ("h2", "h2prime", "h3", "h3table"):
+        for q in [*range(1, 65), 1000, 10**6]:
+            L = min_length(kind)
+            while q > 2**L or not recovery_condition(kind, L, q):
+                L += 1
+            assert critical_length(kind, q) == L, (kind, q)
 
 
 def test_critical_lengths_decrease_with_more_states():
     for kind in ("h2", "h2prime", "h3", "h3table"):
-        row = [critical_length(kind, q).L_c for q in range(1, 9)]
+        row = [critical_length(kind, q) for q in range(1, 9)]
         assert all(a >= b for a, b in zip(row, row[1:]))
 
 
@@ -247,7 +251,7 @@ def test_param_count_consistency():
     # the threshold; recovery follows except at the tabulated degeneracy
     for kind in ("h2", "h2prime", "h3", "h3table"):
         for q in (1, 3, 5):
-            lc = critical_length(kind, q).L_c
+            lc = critical_length(kind, q)
             assert constraint_capacity(lc, q) >= param_count(kind, lc) - 1
             p = predict_ranks(kind, lc, q)
             if (kind, lc, q) in BASIS_DEGENERACIES:

@@ -124,6 +124,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected a subset of {METHODS}")
+        for key in ("q_list", "methods"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} repeats a value: {values!r}")
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
         if not isinstance(self.workers, int) or self.workers < 1:

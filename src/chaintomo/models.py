@@ -1,55 +1,62 @@
 """Spin-chain Hamiltonian families and their term bases.
 
-Four families of translation-inhomogeneous chains with open boundaries:
+A family is a table entry: a tuple of support patterns, each a sorted
+tuple of site offsets from the pattern's first site. Its terms are every
+X/Y/Z assignment to every placement of every pattern on an open chain:
 
-``h2``
-    On-site fields plus nearest-neighbor couplings, 12L - 9 parameters.
-``h2prime``
-    h2 plus next-nearest-neighbor couplings, 21L - 27 parameters.
-``h3``
-    h2 plus all strictly three-body couplings on consecutive triples
-    (non-identity on all three sites), 39L - 63 parameters.
-``h3table``
-    h2 plus every coupling supported on a consecutive triple, i.e. the
-    union of the h3 three-body terms and the h2prime next-nearest terms,
-    48L - 81 parameters.
+=========== ================================= ===============
+kind        support patterns                  N(L)
+=========== ================================= ===============
+``h2``      (0), (0,1)                        12L - 9
+``h2prime`` (0), (0,1), (0,2)                 21L - 27
+``h3``      (0), (0,1), (0,1,2)               39L - 63
+``h3table`` (0), (0,1), (0,2), (0,1,2)        48L - 81
+=========== ================================= ===============
 
-A term basis fixes a canonical ordering: single-site terms by (site, axis)
-with x < y < z, then nearest-neighbor pairs by (site, axis, axis), then
-next-nearest pairs, then three-body triples. Coefficient vectors, CSV
-columns and golden files all index terms in this order.
+So h2 is on-site fields plus nearest-neighbor couplings, h2prime adds
+next-nearest pairs, h3 adds strictly three-body couplings on consecutive
+triples, and h3table holds every coupling supported on a consecutive
+triple. A pattern p has 3**len(p) assignments at each of its L - max(p)
+placements, and a family fits from L = (widest offset) + 1.
+
+A term basis fixes a canonical ordering: patterns in table order, then
+first site, then axes with x < y < z, first site's axis slowest.
+Coefficient vectors, CSV columns and golden files all index terms in
+this order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import PauliString, action_table
 
-MODEL_KINDS = ("h2", "h2prime", "h3", "h3table")
+FAMILIES = {
+    "h2": ((0,), (0, 1)),
+    "h2prime": ((0,), (0, 1), (0, 2)),
+    "h3": ((0,), (0, 1), (0, 1, 2)),
+    "h3table": ((0,), (0, 1), (0, 2), (0, 1, 2)),
+}
+
+MODEL_KINDS = tuple(FAMILIES)
 
 AXES = "XYZ"
 
-_MIN_LENGTH = {"h2": 2, "h2prime": 3, "h3": 3, "h3table": 3}
-
 
 def min_length(kind: str) -> int:
-    """Shortest chain on which the family's longest-range term fits."""
-    _check_kind(kind)
-    return _MIN_LENGTH[kind]
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in MODEL_KINDS:
+    """Shortest chain on which the family's widest pattern fits."""
+    if kind not in FAMILIES:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return 1 + max(max(p) for p in FAMILIES[kind])
 
 
-def _check_length(kind: str, L: int) -> None:
-    _check_kind(kind)
-    if L < _MIN_LENGTH[kind]:
-        raise ValueError(f"chain length {L} too short for model {kind!r} (needs L >= {_MIN_LENGTH[kind]})")
+def _patterns(kind: str, L: int) -> tuple[tuple[int, ...], ...]:
+    if L < min_length(kind):
+        raise ValueError(f"chain length {L} too short for model {kind!r} (needs L >= {min_length(kind)})")
+    return FAMILIES[kind]
 
 
 @dataclass(frozen=True)
@@ -70,22 +77,8 @@ class TermBasis:
 
 
 def param_count(kind: str, L: int) -> int:
-    """Closed-form number of independent coefficients N(kind, L)."""
-    _check_length(kind, L)
-    if kind == "h2":
-        return 12 * L - 9
-    if kind == "h2prime":
-        return 21 * L - 27
-    if kind == "h3":
-        return 39 * L - 63
-    return 48 * L - 81
-
-
-def _placed(L: int, placements: dict[int, str]) -> PauliString:
-    ops = ["I"] * L
-    for site, axis in placements.items():
-        ops[site - 1] = axis  # sites are 1-based
-    return PauliString("".join(ops))
+    """Number of independent coefficients N(kind, L), counted from the patterns."""
+    return sum(3 ** len(p) * (L - max(p)) for p in _patterns(kind, L))
 
 
 def enumerate_terms(kind: str, L: int) -> TermBasis:
@@ -94,29 +87,15 @@ def enumerate_terms(kind: str, L: int) -> TermBasis:
     Raises ValueError when the chain is too short for the family's
     interaction range.
     """
-    _check_length(kind, L)
-    terms: list[PauliString] = []
-    for l in range(1, L + 1):
-        for a in AXES:
-            terms.append(_placed(L, {l: a}))
-    for l in range(1, L):
-        for a in AXES:
-            for b in AXES:
-                terms.append(_placed(L, {l: a, l + 1: b}))
-    if kind in ("h2prime", "h3table"):
-        for l in range(1, L - 1):
-            for a in AXES:
-                for b in AXES:
-                    terms.append(_placed(L, {l: a, l + 2: b}))
-    if kind in ("h3", "h3table"):
-        for l in range(1, L - 1):
-            for a in AXES:
-                for b in AXES:
-                    for c in AXES:
-                        terms.append(_placed(L, {l: a, l + 1: b, l + 2: c}))
-    basis = TermBasis(kind=kind, L=L, terms=tuple(terms))
-    assert basis.n_params == param_count(kind, L)
-    return basis
+    terms = []
+    for pattern in _patterns(kind, L):
+        for first in range(L - max(pattern)):
+            for axes in itertools.product(AXES, repeat=len(pattern)):
+                ops = ["I"] * L
+                for offset, axis in zip(pattern, axes):
+                    ops[first + offset] = axis
+                terms.append(PauliString("".join(ops)))
+    return TermBasis(kind=kind, L=L, terms=tuple(terms))
 
 
 def sample_params(basis: TermBasis, seed) -> np.ndarray:

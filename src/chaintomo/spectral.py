@@ -30,7 +30,8 @@ MAX_SHIFT_NUDGES = 4
 
 
 class DegenerateSpectrumError(RuntimeError):
-    """Selected eigenstates are too close in energy to mix reliably."""
+    """Selected eigenstates are too close in energy, or their drawn
+    probabilities too close to each other, to mix reliably."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,10 @@ def _picked_eigenvectors(h: np.ndarray, vals: np.ndarray, idx: np.ndarray) -> np
 
 
 def _draw_probs(q: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform simplex draw, rejecting vectors with near-tied entries."""
+    """Uniform simplex draw, rejecting vectors with near-tied entries.
+
+    Raises DegenerateSpectrumError after 1000 rejections, as nearly always
+    from q = 23 and always once q(q - 1)/2 * MIN_PROB_GAP > 1 (q >= 46)."""
     if q == 1:
         return np.ones(1)
     for _ in range(1000):
@@ -142,7 +146,7 @@ def _draw_probs(q: int, rng: np.random.Generator) -> np.ndarray:
         gaps = np.diff(np.sort(p))
         if gaps.min() >= MIN_PROB_GAP:
             return p
-    raise RuntimeError(f"could not draw {q} well-separated probabilities")
+    raise DegenerateSpectrumError(f"could not draw {q} well-separated probabilities")
 
 
 def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest", rng_seed=0) -> SteadyState:
@@ -155,8 +159,8 @@ def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest",
     eigenvalues; eigenvectors are then computed for the picked states only.
 
     Raises DegenerateSpectrumError when any two selected eigenvalues are
-    closer than 1e-10 times the spectral range; callers resample the
-    Hamiltonian in that case.
+    closer than 1e-10 times the spectral range, or when no well-separated
+    probabilities are drawn; callers resample the Hamiltonian in that case.
     """
     dim = eig.dim
     if not 1 <= q <= dim:

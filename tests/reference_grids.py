@@ -16,6 +16,27 @@ def _grid(first_length, rows):
     }
 
 
+# independent coefficients N(L) of each family, in closed form, and the
+# shortest chain each family fits on
+PARAM_COUNT_FORMS = {
+    "h2": lambda L: 12 * L - 9,
+    "h2prime": lambda L: 21 * L - 27,
+    "h3": lambda L: 39 * L - 63,
+    "h3table": lambda L: 48 * L - 81,
+}
+
+MIN_LENGTHS = {"h2": 2, "h2prime": 3, "h3": 3, "h3table": 3}
+
+# each family's terms: every X/Y/Z assignment to the sites of a support
+# pattern (site offsets from its first site), in this order, placed at
+# every first site of an open chain
+SUPPORT_PATTERNS = {
+    "h2": ((0,), (0, 1)),
+    "h2prime": ((0,), (0, 1), (0, 2)),
+    "h3": ((0,), (0, 1), (0, 1, 2)),
+    "h3table": ((0,), (0, 1), (0, 2), (0, 1, 2)),
+}
+
 H2_PARAM_COUNT = {2: 15, 3: 27, 4: 39, 5: 51, 6: 63, 7: 75, 8: 87, 9: 99}
 
 H3TABLE_PARAM_COUNT = {3: 63, 4: 111, 5: 159, 6: 207, 7: 255, 8: 303, 9: 351}

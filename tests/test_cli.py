@@ -75,7 +75,9 @@ def test_rank_scan_skips_cells_above_the_dimension(capsys):
     # a grid with no cell left, a bad q or a chain too short are still usage errors
     for args in (["--model", "h2", "--L-min", "2", "--L-max", "2", "--q", "5"],
                  ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "0", "5"],
-                 ["--model", "h2prime", "--L-min", "2", "--L-max", "3", "--q", "5"]):
+                 ["--model", "h2prime", "--L-min", "2", "--L-max", "3", "--q", "5"],
+                 ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "2", "2"],
+                 ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "5", "5"]):
         assert cli.main(["rank-scan", *args]) == 2, args
 
 
@@ -132,6 +134,8 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("trials", 2.5), ("workers", 1.5), ("trials", "3"), ("workers", "2"),
     ("rank_tol", "1e-10"), ("success_threshold", None),
+    # a repeated q or method would run and count every trial of it twice
+    ("q_list", [2, 2]), ("methods", ["hoe", "hoe"]),
 ])
 def test_run_rejects_bad_config_values(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -162,6 +166,16 @@ def test_exit_code_for_numerical_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "reproduce_table", boom)
     assert cli.main(["reproduce", "--table", "1", "--out-dir", str(tmp_path)]) == 4
     assert "ranks deviate" in capsys.readouterr().err
+
+    # q(q - 1)/2 * MIN_PROB_GAP > 1 leaves no well-separated probabilities to draw
+    assert cli.main(["recover", "--model", "h2", "--L", "6", "--q", "50"]) == 4
+    assert "model=h2 L=6 q=50 seed=0" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "h2", "L_range": [6, 6], "q_list": [50], "trials": 1}))
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 4
+    assert "model=h2 L=6 q=50" in capsys.readouterr().err
+    # where a draw only rarely succeeds, the command still ends without a traceback
+    assert cli.main(["recover", "--model", "h2", "--L", "6", "--q", "24", "--methods", "hoe"]) in (0, 4)
 
     # a failed factorization names the instance, from recover and from a sweep
     def failing_joint_route(*args, **kwargs):

@@ -155,6 +155,9 @@ def test_run_trial_and_recover_instance_score_alike(model, L, q, methods, tmp_pa
     ("out_dir", None),
     ("workers", 1.5),
     ("workers", "2"),
+    ("q_list", (3, 3)),
+    ("q_list", (1, 2, 1)),
+    ("methods", ("hoe", "hoe")),
 ])
 def test_config_validation_rejects(field, value, tmp_path):
     cfg = _tiny_cfg(tmp_path, **{field: value})

@@ -1,9 +1,12 @@
 """Model families: term enumeration order, counts, sampling, assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from chaintomo.models import (
+    FAMILIES,
     MODEL_KINDS,
     assemble,
     enumerate_terms,
@@ -14,7 +17,13 @@ from chaintomo.models import (
 )
 from chaintomo.pauli import string_matrix
 
-from reference_grids import H2_PARAM_COUNT, H3TABLE_PARAM_COUNT
+from reference_grids import (
+    H2_PARAM_COUNT,
+    H3TABLE_PARAM_COUNT,
+    MIN_LENGTHS,
+    PARAM_COUNT_FORMS,
+    SUPPORT_PATTERNS,
+)
 
 
 def test_param_count_closed_forms():
@@ -26,6 +35,31 @@ def test_param_count_closed_forms():
     assert param_count("h2prime", 7) == 120
     assert param_count("h3", 3) == 54
     assert param_count("h3", 5) == 132
+    assert MODEL_KINDS == tuple(PARAM_COUNT_FORMS)
+    for kind, form in PARAM_COUNT_FORMS.items():
+        assert min_length(kind) == MIN_LENGTHS[kind]
+        with pytest.raises(ValueError):
+            param_count(kind, MIN_LENGTHS[kind] - 1)
+        for L in range(MIN_LENGTHS[kind], 13):
+            assert param_count(kind, L) == form(L), (kind, L)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_term_order_matches_a_brute_scan(kind):
+    # keep every Pauli string whose support, shifted to start at site 0, is
+    # one of the family's patterns, sorted by (pattern, first site, axes)
+    patterns = SUPPORT_PATTERNS[kind]
+    assert FAMILIES[kind] == patterns
+    for L in range(MIN_LENGTHS[kind], 7):
+        keyed = []
+        for ops in itertools.product("IXYZ", repeat=L):
+            support = [site for site, op in enumerate(ops) if op != "I"]
+            shifted = tuple(site - support[0] for site in support) if support else None
+            if shifted in patterns:
+                axes = tuple(ops[site] for site in support)
+                keyed.append(((patterns.index(shifted), support[0], axes), "".join(ops)))
+        expected = [ops for _, ops in sorted(keyed)]
+        assert [str(t) for t in enumerate_terms(kind, L).terms] == expected, (kind, L)
 
 
 def test_param_count_matches_enumeration():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaintomo.pauli import (
     PauliString,
@@ -72,6 +74,25 @@ def test_action_matches_matrix():
         for m, s in enumerate(strings):
             assert np.array_equal(phase[:, m] * psi[src[:, m]], string_matrix(s) @ psi), s
             assert np.array_equal(apply_string(s, psi), string_matrix(s) @ psi), s
+
+
+@st.composite
+def _strings_and_seed(draw):
+    length = draw(st.integers(1, 6))
+    strings = draw(st.lists(st.text(alphabet="IXYZ", min_size=length, max_size=length), min_size=1, max_size=8))
+    return length, strings, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_strings_and_seed())
+def test_action_columns_equal_kron_oracle(case):
+    # each column of the table applies its string exactly as the Kronecker product does
+    length, strings, seed = case
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(2**length) + 1j * rng.standard_normal(2**length)
+    src, phase = action_table(strings, length)
+    for m, s in enumerate(strings):
+        assert np.array_equal(phase[:, m] * psi[src[:, m]], string_matrix(s) @ psi), s
 
 
 def test_action_reconstructs_matrix():

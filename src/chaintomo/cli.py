@@ -95,10 +95,13 @@ def cmd_rank_scan(args) -> int:
     # a cell mixes q distinct eigenstates, so it needs q <= 2**L; a scan
     # skips the cells without them where a sweep rejects the whole grid,
     # so the grid is validated with q capped at its smallest dimension,
-    # each capped value once, after checking the uncapped q for repeats
+    # each capped value once, after checking the uncapped q for repeats;
+    # capped at the largest, every q some cell runs is validated as it is
     if len(set(cfg.q_list)) < len(cfg.q_list):
         raise harness.ConfigError(f"q_list repeats a value: {cfg.q_list!r}")
-    dataclasses.replace(cfg, q_list=tuple(dict.fromkeys(min(q, 2**args.L_min) for q in cfg.q_list))).validate()
+    for lo in (args.L_min, args.L_max):
+        dataclasses.replace(cfg, L_range=(lo, args.L_max),
+                            q_list=tuple(dict.fromkeys(min(q, 2**lo) for q in cfg.q_list))).validate()
     if all(q > 2**L for L, q in cfg.cells()):
         raise harness.ConfigError(f"every q in {list(cfg.q_list)} exceeds the Hilbert dimension up to L={args.L_max}")
     print(f"{'L':>3} {'q':>3} {'N':>5} {'r':>5} {'r_pred':>7} {'r_prime':>8} {'r_prime_pred':>13} {'ok':>4}")

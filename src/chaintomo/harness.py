@@ -109,6 +109,10 @@ class ExperimentConfig:
                 raise ConfigError(f"bad q value {q!r}")
             if q > 2**lo:
                 raise ConfigError(f"q={q} exceeds the Hilbert dimension at L={lo}")
+            spacing = q * (q - 1) / 2 * spectral.MIN_PROB_GAP
+            if spacing > 1:
+                raise ConfigError(f"q={q} leaves no probabilities {spectral.MIN_PROB_GAP} apart to draw: "
+                                  f"q(q - 1)/2 * MIN_PROB_GAP = {spacing:g} > 1")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not isinstance(self.seed, int) or self.seed < 0:

@@ -13,6 +13,7 @@ picks instead of silently proceeding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,14 @@ MIN_PROB_GAP = 1e-3
 # rounding unit of the spectrum's scale before the solve gives up
 MAX_SHIFT_NUDGES = 4
 
+# dimension from which a ``lowest`` pick takes its states from a Lanczos
+# run instead of the whole spectrum: at q = 3 the dense path is faster at
+# L = 7 and the Lanczos run from L = 8
+KRYLOV_MIN_DIM = 256
+
+# Lanczos steps between two convergence checks
+KRYLOV_CHECK_STEPS = 10
+
 
 class DegenerateSpectrumError(RuntimeError):
     """Selected eigenstates are too close in energy, or their drawn
@@ -36,18 +45,24 @@ class DegenerateSpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigDecomposition:
-    """Full spectrum of a Hermitian matrix, eigenvalues ascending.
+    """A Hermitian matrix and, on first access, its whole spectrum.
 
-    ``matrix`` is the decomposed matrix itself. No eigenvectors are held:
-    ``build_steady_state`` computes them only for the states it mixes.
+    ``matrix`` is the decomposed matrix itself. ``eigenvalues`` (ascending)
+    calls ``np.linalg.eigvalsh`` the first time it is read, so a ``lowest``
+    pick that takes its states from a Lanczos run never computes the whole
+    spectrum. No eigenvectors are held: ``build_steady_state`` computes
+    them only for the states it mixes.
     """
 
-    eigenvalues: np.ndarray
     matrix: np.ndarray
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.size
+        return self.matrix.shape[0]
 
     @property
     def spectral_range(self) -> float:
@@ -55,7 +70,8 @@ class EigDecomposition:
 
 
 def eig_hermitian(h: np.ndarray) -> EigDecomposition:
-    """All eigenvalues of a Hermitian matrix, ascending, with the matrix.
+    """Wrap a Hermitian matrix for ``build_steady_state``; its eigenvalues
+    are computed on first access.
 
     Raises ValueError when the input is not square or departs from
     Hermiticity by more than 1e-12 relative to its largest entry.
@@ -66,7 +82,7 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     scale = max(1.0, float(np.max(np.abs(h))))
     if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return EigDecomposition(eigenvalues=np.linalg.eigvalsh(h), matrix=h)
+    return EigDecomposition(matrix=h)
 
 
 @dataclass(frozen=True)
@@ -90,6 +106,20 @@ class SteadyState:
     def rho(self) -> np.ndarray:
         """Dense density matrix of the mixture, formed on each access."""
         return (self.states * self.probs) @ self.states.conj().T
+
+
+def _start_vector(dim: int) -> np.ndarray:
+    """Fixed start of inverse iteration and Lanczos runs, so that no
+    trial's random stream is consumed."""
+    return np.random.default_rng(0).standard_normal(dim)
+
+
+def _rayleigh_ritz(h: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values, ascending, and orthonormal Ritz vectors of ``h`` on the
+    span of the columns of ``cols``."""
+    basis = np.linalg.qr(cols)[0]
+    vals, vecs = np.linalg.eigh(basis.conj().T @ (h @ basis))
+    return vals, basis @ vecs
 
 
 def _picked_eigenvectors(h: np.ndarray, vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -124,21 +154,88 @@ def _picked_eigenvectors(h: np.ndarray, vals: np.ndarray, idx: np.ndarray) -> np
             f"shifted matrix exactly singular after {MAX_SHIFT_NUDGES} nudges (shift {sigma:.17g})"
         )
 
-    # fixed, so that no trial's random stream is consumed
-    start = np.random.default_rng(0).standard_normal(dim)
+    start = _start_vector(dim)
     cols = []
     for k in idx:
         v = solve(vals[k], start)
         cols.append(solve(np.vdot(v, h @ v).real, v))
-    basis = np.linalg.qr(np.stack(cols, axis=1))[0]
-    return basis @ np.linalg.eigh(basis.conj().T @ (h @ basis))[1]
+    return _rayleigh_ritz(h, np.stack(cols, axis=1))[1]
+
+
+def _lanczos(h: np.ndarray, q: int, max_steps: int) -> tuple[np.ndarray, float] | None:
+    """Ritz vectors of the q lowest eigenvalues of ``h`` from a Lanczos run.
+
+    Lanczos (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) with full
+    reorthogonalization, two classical Gram-Schmidt passes per step, from
+    the fixed start vector. Every KRYLOV_CHECK_STEPS steps the q lowest
+    Ritz pairs count as converged once each residual bound |beta_m s_mk|
+    is at most eps times the largest |Ritz value|; the q eigenvectors of
+    the tridiagonal T then come from the inverse iteration of the dense
+    path. Returns the q Ritz vectors as columns and the spread of the Ritz
+    values, which approaches the spectral range from below; None when the
+    pairs have not converged after ``max_steps`` steps.
+    """
+    dim = h.shape[0]
+    eps = np.finfo(float).eps
+    v = _start_vector(dim)
+    # the basis grows as it fills, one row per Lanczos vector
+    basis = np.empty((min(2 * KRYLOV_CHECK_STEPS, dim), dim), dtype=h.dtype)
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = [], []
+    for m in range(1, max_steps + 1):
+        w = h @ basis[m - 1]
+        alpha.append(np.vdot(basis[m - 1], w).real)
+        for _ in range(2):
+            w -= (basis[:m] @ w.conj()).conj() @ basis[:m]
+        b = float(np.linalg.norm(w))
+        if m % KRYLOV_CHECK_STEPS == 0 or m == max_steps or b == 0.0:
+            t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, s = np.linalg.eigh(t)
+            if m >= q and np.all(np.abs(b * s[-1, :q]) <= eps * np.abs(theta).max()):
+                # eigh's vectors of T carry its backward error, which is as
+                # large as a full eigh's of H; inverse iteration on T is not
+                return basis[:m].T @ _picked_eigenvectors(t, theta, np.arange(q)), float(theta[-1] - theta[0])
+            if b == 0.0 or m == max_steps:
+                return None
+        if m == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty_like(basis)])[:dim]
+        beta.append(b)
+        basis[m] = w / b
+
+
+def _krylov_lowest(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The q lowest eigenpairs of ``h`` and its spectral range, or None.
+
+    The pairs come from a Lanczos run and a q x q Rayleigh-Ritz step, and
+    are returned only when a certificate shows that no eigenvalue was
+    missed: with X the q Ritz vectors, theta_q the largest Ritz value and
+    s = theta_q + DEGENERACY_RTOL * range, H + (2 range + 1) XX^H - s I is
+    positive definite, that is Cholesky succeeds, only when H has no
+    eigenvalue at or below s outside the span of X. Returns
+    ``(energies, states, spread)``; None when the run does not converge or
+    the certificate fails.
+    """
+    run = _lanczos(h, q, h.shape[0])
+    if run is None:
+        return None
+    ritz, spread = run
+    energies, states = _rayleigh_ritz(h, ritz)
+    shifted = states @ ((2 * spread + 1) * states.conj().T)
+    shifted += h
+    shifted.flat[:: h.shape[0] + 1] -= energies[-1] + DEGENERACY_RTOL * spread
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
+    return energies, states, spread
 
 
 def _draw_probs(q: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform simplex draw, rejecting vectors with near-tied entries.
 
     Raises DegenerateSpectrumError after 1000 rejections, as nearly always
-    from q = 23 and always once q(q - 1)/2 * MIN_PROB_GAP > 1 (q >= 46)."""
+    from q = 23 and always once q(q - 1)/2 * MIN_PROB_GAP > 1 (q >= 46),
+    which ``harness.ExperimentConfig.validate`` rejects up front."""
     if q == 1:
         return np.ones(1)
     for _ in range(1000):
@@ -155,8 +252,11 @@ def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest",
     ``selection`` picks which eigenstates enter the mixture: ``lowest``
     takes the q smallest eigenvalues, ``random`` takes q distinct uniform
     picks. Probabilities are drawn uniformly from the simplex with a
-    minimum pairwise gap of 1e-3. Every decision is made on the
-    eigenvalues; eigenvectors are then computed for the picked states only.
+    minimum pairwise gap of 1e-3. From dimension KRYLOV_MIN_DIM on, a
+    ``lowest`` pick takes its pairs and the spectral range from a certified
+    Lanczos run (``_krylov_lowest``). Otherwise, and whenever that run
+    fails to converge or to certify, every decision is made on the whole
+    spectrum and eigenvectors are computed for the picked states only.
 
     Raises DegenerateSpectrumError when any two selected eigenvalues are
     closer than 1e-10 times the spectral range, or when no well-separated
@@ -168,17 +268,19 @@ def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest",
     if selection not in SELECTION_POLICIES:
         raise ValueError(f"unknown selection policy {selection!r}; expected one of {SELECTION_POLICIES}")
     rng = np.random.default_rng(rng_seed)
-    if selection == "lowest":
-        idx = np.arange(q)
+    krylov = _krylov_lowest(eig.matrix, q) if selection == "lowest" and dim >= KRYLOV_MIN_DIM else None
+    if krylov is None:
+        idx = np.arange(q) if selection == "lowest" else np.sort(rng.choice(dim, size=q, replace=False))
+        energies, spread = eig.eigenvalues[idx], eig.spectral_range
     else:
-        idx = np.sort(rng.choice(dim, size=q, replace=False))
-    energies = eig.eigenvalues[idx]
+        energies, states, spread = krylov
     if q > 1:
         gap = float(np.diff(energies).min())
-        if gap < DEGENERACY_RTOL * max(eig.spectral_range, np.finfo(float).tiny):
+        if gap < DEGENERACY_RTOL * max(spread, np.finfo(float).tiny):
             raise DegenerateSpectrumError(
                 f"selected eigenvalues nearly degenerate (gap {gap:.3e})"
             )
     probs = _draw_probs(q, rng)
-    states = _picked_eigenvectors(eig.matrix, eig.eigenvalues, idx)
+    if krylov is None:
+        states = _picked_eigenvectors(eig.matrix, eig.eigenvalues, idx)
     return SteadyState(q=q, states=states, probs=probs, energies=energies)

@@ -77,7 +77,8 @@ def test_rank_scan_skips_cells_above_the_dimension(capsys):
                  ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "0", "5"],
                  ["--model", "h2prime", "--L-min", "2", "--L-max", "3", "--q", "5"],
                  ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "2", "2"],
-                 ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "5", "5"]):
+                 ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "5", "5"],
+                 ["--model", "h2", "--L-min", "2", "--L-max", "6", "--q", "2", "50"]):
         assert cli.main(["rank-scan", *args]) == 2, args
 
 
@@ -167,13 +168,6 @@ def test_exit_code_for_numerical_failure(tmp_path, monkeypatch, capsys):
     assert cli.main(["reproduce", "--table", "1", "--out-dir", str(tmp_path)]) == 4
     assert "ranks deviate" in capsys.readouterr().err
 
-    # q(q - 1)/2 * MIN_PROB_GAP > 1 leaves no well-separated probabilities to draw
-    assert cli.main(["recover", "--model", "h2", "--L", "6", "--q", "50"]) == 4
-    assert "model=h2 L=6 q=50 seed=0" in capsys.readouterr().err
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"model": "h2", "L_range": [6, 6], "q_list": [50], "trials": 1}))
-    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 4
-    assert "model=h2 L=6 q=50" in capsys.readouterr().err
     # where a draw only rarely succeeds, the command still ends without a traceback
     assert cli.main(["recover", "--model", "h2", "--L", "6", "--q", "24", "--methods", "hoe"]) in (0, 4)
 
@@ -198,9 +192,16 @@ def test_exit_code_for_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "model=h2 L=3 q=2 seed=4: shifted matrix exactly singular" in capsys.readouterr().err
     assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 4
     assert "model=h2 L=3 q=2 trial=0: shifted matrix exactly singular" in capsys.readouterr().err
+    # and a failed Lanczos run, which from L = 8 draws a lowest-energy state
+    def failing_lanczos(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral, "_lanczos", failing_lanczos)
+    assert cli.main(["recover", "--model", "h2", "--L", "8", "--q", "2", "--seed", "4"]) == 4
+    assert "model=h2 L=8 q=2 seed=4: Eigenvalues did not converge" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "--table", "9"])
     assert exc.value.code == 2
@@ -216,6 +217,15 @@ def test_usage_errors_exit_two(capsys):
     for args in (["--model", "h2", "--L", "1"], ["--model", "h2", "--L", "2", "--q", "0"],
                  ["--model", "h2", "--L", "2", "--q", "5"], ["--model", "h2prime", "--L", "2"]):
         assert cli.main(["recover", *args]) == 2, args
+    # q(q - 1)/2 * MIN_PROB_GAP > 1 leaves no well-separated probabilities
+    # to draw, which fails before any Hamiltonian is drawn
+    assert cli.main(["recover", "--model", "h2", "--L", "6", "--q", "50"]) == 2
+    assert "q=50" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "h2", "L_range": [6, 6], "q_list": [50], "trials": 1}))
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "q=50" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     # a q below 1 anywhere in the list fails before any line is printed
     for qs in (["0"], ["2", "-3"]):
         capsys.readouterr()

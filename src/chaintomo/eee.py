@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hoe import DEFAULT_RANK_TOL, DegenerateRecoveryError, RecoveryReport, check_state, nullspace_report
-from .models import TermBasis, term_amplitudes
+from .hoe import DEFAULT_RANK_TOL, DegenerateRecoveryError, RecoveryReport, constraint_matrices, nullspace_report
+from .models import TermBasis
 from .spectral import SteadyState
 
 # DegenerateRecoveryError is raised in the shared recovery body and stays
@@ -48,21 +48,9 @@ def constraint_matrix(basis: TermBasis, state: SteadyState) -> np.ndarray:
     Row layout is fixed: for each mixed state in ascending energy order,
     first the real parts of its 2**L equations, then the imaginary parts.
     The last q columns carry -psi_mu in column mu, pairing eigenvalue mu
-    with its state.
+    with its state. Built by ``hoe.constraint_matrices``, in Fortran order.
     """
-    check_state(basis, state)
-    dim, n, q = basis.dim, basis.n_params, state.q
-    out = np.zeros((2 * dim * q, n + q))
-    for mu in range(q):
-        psi = state.states[:, mu]
-        amps = term_amplitudes(basis, psi)
-        top = 2 * dim * mu
-        block = out[top : top + 2 * dim]
-        block[:dim, :n] = amps.real
-        block[dim:, :n] = amps.imag
-        block[:dim, n + mu] = -psi.real
-        block[dim:, n + mu] = -psi.imag
-    return out
+    return constraint_matrices(basis, state, ("eee",))[1]
 
 
 def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:

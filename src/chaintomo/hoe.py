@@ -23,6 +23,10 @@ from .spectral import SteadyState
 
 DEFAULT_RANK_TOL = 1e-10
 
+# rows of a state's term amplitudes gathered at a time through one complex
+# buffer, so that no (2**L, N) complex array is formed
+GATHER_ROWS = 128
+
 
 class DegenerateRecoveryError(RuntimeError):
     """The nullspace vector has a vanishing coefficient block."""
@@ -57,6 +61,60 @@ def check_state(basis: TermBasis, state: SteadyState) -> None:
         raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
 
 
+def constraint_matrices(
+    basis: TermBasis, state: SteadyState, methods: tuple[str, ...] = ("hoe", "eee")
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Both routes' constraint matrices ``(G, Q)`` from one pass over the states.
+
+    Each matrix is None unless its route ("hoe" or "eee") is in ``methods``.
+    The terms' action table is built once per pass, and each mixed state's
+    amplitudes A_mu = (h_n|psi_mu>)_n are gathered once, GATHER_ROWS rows at
+    a time, straight into the mu-th block of the Fortran-ordered Q: Re A_mu
+    over Im A_mu (see eee.constraint_matrix for the layout). G is read off
+    the same block, with X_mu = (Re A_mu)^T (Im A_mu):
+
+        G = -2 sum_mu p_mu (X_mu - X_mu^T),
+
+    since <i[h_m, h_n]>_mu = -2 Im(A_mu^H A_mu)[m, n]. That is one real
+    product per state, and G is exactly antisymmetric. Without Q the states
+    share one real block of the same column order, so G is bit-identical
+    whichever routes run.
+    """
+    check_state(basis, state)
+    dim, n, q = basis.dim, basis.n_params, state.q
+    # Q before the table: the other order left the acceptance sweeps' peak
+    # RSS 3.5 MB higher through heap placement, with no more memory live
+    qmat = np.zeros((2 * dim * q, n + q), order="F") if "eee" in methods else None
+    block = np.empty((2 * dim, n), order="F") if qmat is None else None
+    src, phase = action_table(basis.terms, basis.L)
+    chunk_buf = np.empty((min(GATHER_ROWS, dim), n), dtype=complex)
+    with_g = "hoe" in methods
+    if with_g:
+        acc, x = np.zeros((n, n)), np.empty((n, n))
+    for mu in range(q):
+        psi = np.ascontiguousarray(state.states[:, mu], dtype=complex)
+        if qmat is not None:
+            top = 2 * dim * mu
+            block = qmat[top : top + 2 * dim, :n]
+            qmat[top : top + dim, n + mu] = -psi.real
+            qmat[top + dim : top + 2 * dim, n + mu] = -psi.imag
+        for r in range(0, dim, GATHER_ROWS):
+            e = min(r + GATHER_ROWS, dim)
+            chunk = np.take(psi, src[r:e], out=chunk_buf[: e - r], mode="clip")
+            chunk *= phase[r:e]
+            block[r:e] = chunk.real
+            block[dim + r : dim + e] = chunk.imag
+        if with_g:
+            np.matmul(block[:dim].T, block[dim:], out=x)
+            x *= state.probs[mu]
+            acc += x
+    if not with_g:
+        return None, qmat
+    g = np.subtract(acc, acc.T, out=x)
+    g *= -2.0
+    return g, qmat
+
+
 def constraint_matrix(
     basis: TermBasis,
     state: SteadyState,
@@ -65,27 +123,28 @@ def constraint_matrix(
     """Real matrix of commutator expectations <i[K_m, h_n]> in the state.
 
     Observables default to the model's own terms, giving a square matrix
-    with one row per unknown coefficient. That default matrix satisfies
-    G[m, n] = -G[n, m], so its rank is even; when the constraint system
-    carries an odd number of independent rows, the square matrix sits one
-    below it, and any observable outside the term set restores the odd
-    rank (see ranks.predict_ranks).
+    with one row per unknown coefficient, built by ``constraint_matrices``.
+    That default matrix satisfies G[m, n] = -G[n, m] exactly, so its rank
+    is even; when the constraint system carries an odd number of
+    independent rows, the square matrix sits one below it, and any
+    observable outside the term set restores the odd rank (see
+    ranks.predict_ranks).
 
-    The entries reduce to sums over the mixed eigenstates: with
-    w = h_n|psi_mu> and u = K_m|psi_mu>, <i[K_m, h_n]>_mu = -2 Im(u^H w),
-    which avoids any dim x dim products.
+    Custom observables take their own gather: with w = h_n|psi_mu> and
+    u = K_m|psi_mu>, <i[K_m, h_n]>_mu = -2 Im(u^H w), which avoids any
+    dim x dim products.
     """
+    if observables is None:
+        return constraint_matrices(basis, state, ("hoe",))[0]
     check_state(basis, state)
-    if observables is not None:
-        if len(observables) == 0:
-            raise ValueError("observable list must not be empty")
-        obs_src, obs_phase = action_table(observables, basis.L)
-    g = np.zeros((basis.n_params if observables is None else len(observables), basis.n_params))
+    if len(observables) == 0:
+        raise ValueError("observable list must not be empty")
+    obs_src, obs_phase = action_table(observables, basis.L)
+    g = np.zeros((len(observables), basis.n_params))
     for mu in range(state.q):
         psi = state.states[:, mu]
         w = term_amplitudes(basis, psi)
-        u = w if observables is None else obs_phase * psi[obs_src]
-        g += state.probs[mu] * (u.conj().T @ w).imag
+        g += state.probs[mu] * ((obs_phase * psi[obs_src]).conj().T @ w).imag
     return -2.0 * g
 
 

@@ -27,6 +27,7 @@ this order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -81,11 +82,13 @@ def param_count(kind: str, L: int) -> int:
     return sum(3 ** len(p) * (L - max(p)) for p in _patterns(kind, L))
 
 
+@functools.cache
 def enumerate_terms(kind: str, L: int) -> TermBasis:
     """Canonical ordered term basis of a model family at chain length L.
 
-    Raises ValueError when the chain is too short for the family's
-    interaction range.
+    Memoized by (kind, L): a basis is immutable, so every trial of a cell
+    shares one. Raises ValueError when the chain is too short for the
+    family's interaction range.
     """
     terms = []
     for pattern in _patterns(kind, L):
@@ -111,10 +114,10 @@ def sample_params(basis: TermBasis, seed) -> np.ndarray:
 def term_amplitudes(basis: TermBasis, psi: np.ndarray) -> np.ndarray:
     """Matrix whose n-th column is term_n applied to the state psi.
 
-    Shape (2**L, N): one gather through the terms' action table. Both
-    recovery routes are linear in these amplitudes. The table is formed
-    per call rather than kept on the basis, so that no (2**L, N) array
-    stays alive across an eigensolve.
+    Shape (2**L, N): one gather through the terms' action table, built
+    for this call. Both recovery routes are linear in these amplitudes;
+    ``hoe.constraint_matrices`` gathers them itself, with one table for
+    all mixed states.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.dim,):

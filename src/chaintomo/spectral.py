@@ -37,6 +37,9 @@ KRYLOV_MIN_DIM = 256
 # Lanczos steps between two convergence checks
 KRYLOV_CHECK_STEPS = 10
 
+# rows per strip of the Hermiticity check in ``eig_hermitian``
+HERMITIAN_CHECK_ROWS = 128
+
 
 class DegenerateSpectrumError(RuntimeError):
     """Selected eigenstates are too close in energy, or their drawn
@@ -77,10 +80,17 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     Hermiticity by more than 1e-12 relative to its largest entry.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
+    # row strip i:e right of the diagonal against the column strip below it,
+    # so every entry pair is compared once and no dim x dim temporary is formed
+    asym = scale = 0.0
+    for i in range(0, h.shape[0], HERMITIAN_CHECK_ROWS):
+        e = i + HERMITIAN_CHECK_ROWS
+        upper, lower = h[i:e, i:], h[i:, i:e]
+        asym = max(asym, float(np.max(np.abs(upper - lower.conj().T))))
+        scale = max(scale, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+    if asym > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not Hermitian within tolerance")
     return EigDecomposition(matrix=h)
 

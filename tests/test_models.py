@@ -62,6 +62,12 @@ def test_term_order_matches_a_brute_scan(kind):
         assert [str(t) for t in enumerate_terms(kind, L).terms] == expected, (kind, L)
 
 
+def test_enumerate_terms_is_memoized():
+    first = enumerate_terms("h3table", 4)
+    assert enumerate_terms("h3table", 4) is first
+    assert enumerate_terms.__wrapped__("h3table", 4) == first  # same terms, same order
+
+
 def test_param_count_matches_enumeration():
     for kind in MODEL_KINDS:
         for L in range(min_length(kind), 7):

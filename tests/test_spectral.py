@@ -7,6 +7,7 @@ from chaintomo import spectral
 from chaintomo.models import assemble, enumerate_terms, min_length, sample_params
 from chaintomo.pauli import string_matrix
 from chaintomo.spectral import (
+    HERMITIAN_CHECK_ROWS,
     SELECTION_POLICIES,
     DegenerateSpectrumError,
     build_steady_state,
@@ -200,6 +201,27 @@ def test_eig_rejects_bad_input():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eig_hermitian(np.ones((2, 3)))
+
+
+def test_hermiticity_check_finds_one_entry_in_any_strip():
+    # 300 rows leave a last strip of 44, short of HERMITIAN_CHECK_ROWS; the
+    # entries sit below and above the diagonal, on it, and in that last strip
+    n = 300
+    assert n % HERMITIAN_CHECK_ROWS != 0
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = a + a.conj().T
+    scale = np.max(np.abs(h))
+    eig_hermitian(h)
+    for i, j in [(290, 10), (10, 290), (150, 150), (299, 260), (270, 299)]:
+        for eps, rejected in [(1e-13, False), (1e-9, True)]:
+            bad = h.copy()
+            bad[i, j] += eps * scale * (1j if i == j else 1)
+            if rejected:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    eig_hermitian(bad)
+            else:
+                eig_hermitian(bad)
 
 
 def test_pure_state_is_projector():

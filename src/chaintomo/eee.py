@@ -8,8 +8,9 @@ is linear in the stacked unknowns x = (a_1..a_N, E_1..E_q):
 
 Splitting real and imaginary parts gives a real constraint matrix with
 q * 2**(L+1) rows and N + q columns. Recovery is again a nullspace
-problem, solved by SVD with the coefficient block rescaled to unit norm;
-the eigenvalues come out scaled by the same factor as the coefficients.
+problem, solved by ``hoe.nullspace`` with the coefficient block rescaled
+to unit norm; the eigenvalues come out scaled by the same factor as the
+coefficients.
 """
 
 from __future__ import annotations
@@ -54,13 +55,14 @@ def constraint_matrix(basis: TermBasis, state: SteadyState) -> np.ndarray:
 
 
 def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:
-    """Split the lowest right-singular vector into coefficients and energies.
+    """Split the canonical null vector of Q into coefficients and energies.
 
-    The nullspace vector is rescaled so its leading ``n_params`` block has
-    unit norm; the trailing block then holds the eigenvalues under the
-    same scale. Raises DegenerateRecoveryError when that block vanishes,
-    which only happens for degenerate instances where no unit-coefficient
-    solution exists in the ambiguous subspace.
+    The null vector (see ``hoe.nullspace``) is rescaled so its leading
+    ``n_params`` block has unit norm; the trailing block then holds the
+    eigenvalues under the same scale. Raises DegenerateRecoveryError when
+    Q has full column rank, or when that block vanishes, which only happens
+    for degenerate instances where no unit-coefficient solution exists in
+    the ambiguous subspace.
     """
     # any other shape is rejected by the shared body
     if np.ndim(qmat) == 2 and not 0 < n_params < np.shape(qmat)[1]:

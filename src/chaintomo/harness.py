@@ -211,9 +211,9 @@ class AggregateRow:
     """Per-cell, per-method summary over all accepted trials.
 
     The δ statistics measure recovery only where the gap is 0. At a cell
-    with gap > 0 the recovered vector is an arbitrary unit element of the
-    nullspace, picked by the factorization, so there only the size of δ
-    (far above the success threshold) means anything.
+    with gap > 0 the recovered vector is the nullspace's canonical element
+    (see ``hoe.nullspace``): δ is then a function of the nullspace, and its
+    size, far above the success threshold, says the recovery is ambiguous.
     """
 
     model: str
@@ -434,6 +434,7 @@ def recover_instance(model: str, L: int, q: int, seed: int = 0, selection: str =
             "rank": rank,
             "gap": gap,
             "sigma_min": report.sigma_min,
+            "margin": report.margin,
             "unique": report.unique,
             "reconstruction_error": delta,
             "coefficients": [float(v) for v in report.coefficients],

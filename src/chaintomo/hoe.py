@@ -8,7 +8,8 @@ for each observable K_m the coefficients a_n of the Hamiltonian satisfy
 Collecting the expectations into a real matrix G turns recovery into
 finding the nullspace of G: when that nullspace is one-dimensional the
 coefficient vector is fixed up to overall scale and sign, and it is read
-off as the right-singular vector of the smallest singular value.
+off as the right-singular vector of the smallest singular value (by
+inverse iteration on the QR R factor of G, see ``nullspace``).
 """
 
 from __future__ import annotations
@@ -27,9 +28,16 @@ DEFAULT_RANK_TOL = 1e-10
 # buffer, so that no (2**L, N) complex array is formed
 GATHER_ROWS = 128
 
+# rows of R per diagonal block of the blocked triangular solves
+SOLVE_BLOCK = 64
+
+# rows per column from which a matrix's R factor is taken from its two row
+# halves (see _r_factor)
+TSQR_ASPECT = 8
+
 
 class DegenerateRecoveryError(RuntimeError):
-    """The nullspace vector has a vanishing coefficient block."""
+    """No usable null vector: full column rank, or a vanishing coefficient block."""
 
 
 @dataclass(frozen=True)
@@ -39,16 +47,21 @@ class RecoveryReport:
     ``coefficients`` is the unit-norm recovered vector, ``rank`` the
     numeric rank of the constraint matrix, ``gap`` the dimension of the
     ambiguous subspace (number of unknowns minus rank minus one). When
-    ``gap`` is positive the recovered vector is an arbitrary unit element
-    of the nullspace and ``unique`` is False. ``eigenvalues`` holds the
-    energies the joint route recovers alongside, scaled by the same factor
-    as the coefficients; it is None on the commutator route.
+    ``gap`` is positive ``unique`` is False and the recovered vector is the
+    canonical element of the nullspace: the unit projection of the
+    normalized all-ones vector onto it, which depends on the nullspace
+    alone. ``margin`` is log10(sigma_r / sigma_{r+1}), the decades between
+    the smallest kept and the largest dropped singular value, or None when
+    the latter is exactly 0. ``eigenvalues`` holds the energies the joint
+    route recovers alongside, scaled by the same factor as the
+    coefficients; it is None on the commutator route.
     """
 
     coefficients: np.ndarray
     rank: int
     gap: int
     sigma_min: float
+    margin: float | None
     unique: bool
     eigenvalues: np.ndarray | None = None
 
@@ -148,61 +161,159 @@ def constraint_matrix(
     return -2.0 * g
 
 
-def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, int, float, np.ndarray]:
-    """Numeric rank, ambiguity gap, smallest singular value and null vector.
+def _r_factor(m: np.ndarray) -> np.ndarray:
+    """The QR R factor of m, min(rows, columns) by columns, never the Q.
 
-    Rank counts singular values above tol_rel * sigma_0; gap = columns - rank - 1.
-    A tall matrix is reduced to its QR R factor first: same singular values and
-    right-singular vectors, and no tall left factor. A wide one keeps the full
-    V^T, whose trailing rows span its nullspace; its sigma_min is exactly 0.
+    A matrix at least two rows short of square is returned as it is: it
+    has the same singular values and right-singular vectors as its R. One
+    at least TSQR_ASPECT times taller than wide is factored as two row
+    halves, and R is the R of their two stacked R factors: np.linalg.qr
+    holds two copies of its input, so this halves the transient memory of
+    the tallest joint matrices, for at most 4/(3 TSQR_ASPECT) more flops.
     """
-    if not tol_rel > 0:
-        raise ValueError(f"tol_rel must be positive, got {tol_rel}")
     m = np.atleast_2d(np.asarray(m))
     n_rows, n_cols = m.shape
-    _, sigma, vt = np.linalg.svd(np.linalg.qr(m, mode="r") if n_rows > n_cols else m)
+    if n_rows < n_cols - 1:
+        return m
+    if n_rows >= TSQR_ASPECT * n_cols:
+        half = n_rows // 2
+        m = np.concatenate([np.linalg.qr(m[:half], mode="r"), np.linalg.qr(m[half:], mode="r")])
+    return np.linalg.qr(m, mode="r")
+
+
+def _rank_and_sigma(r: np.ndarray, tol_rel: float, compute_uv: bool = False):
+    """Rank and singular values of R, padded with zeros to one per column,
+    and with ``compute_uv`` the full V^T as well."""
+    if not tol_rel > 0:
+        raise ValueError(f"tol_rel must be positive, got {tol_rel}")
+    out = np.linalg.svd(r, compute_uv=compute_uv)
+    sigma = np.pad(out[1] if compute_uv else out, (0, r.shape[1] - r.shape[0]))
     rank = int(np.count_nonzero(sigma > tol_rel * sigma[0]))
-    return rank, n_cols - (rank + 1), float(sigma[-1]) if n_rows >= n_cols else 0.0, vt[-1]
+    return (rank, sigma, out[2]) if compute_uv else (rank, sigma)
+
+
+def _inverse_iteration(r: np.ndarray, sigma_0: float) -> np.ndarray:
+    """One step of inverse iteration on R^T R from the all-ones vector.
+
+    A wide R gains zero rows first. Two blocked triangular solves, first
+    with R^T and then with R, through np.linalg.solve on SOLVE_BLOCK-row
+    diagonal blocks and one product per block for the part already solved.
+    Diagonal entries below eps * sigma_0 are raised to it, so an exactly
+    singular R still has a solution.
+    """
+    n = r.shape[1]
+    if r.shape[0] < n:
+        r = np.pad(r, ((0, n - r.shape[0]), (0, 0)))
+    floor = np.finfo(float).eps * sigma_0
+    blocks = []
+    for s in range(0, n, SOLVE_BLOCK):
+        e = min(s + SOLVE_BLOCK, n)
+        d = r[s:e, s:e].copy()
+        diag = np.einsum("ii->i", d)
+        diag[:] = np.where(np.abs(diag) < floor, np.copysign(floor, diag), diag)
+        blocks.append((s, e, d))
+    x = np.ones(n)
+    for s, e, d in blocks:
+        x[s:e] = np.linalg.solve(d.T, x[s:e] - r[:s, s:e].T @ x[:s])
+    x /= np.linalg.norm(x)
+    for s, e, d in reversed(blocks):
+        x[s:e] = np.linalg.solve(d, x[s:e] - r[s:e, e:] @ x[e:])
+    return x / np.linalg.norm(x)
+
+
+def _canonical(null_rows: np.ndarray) -> np.ndarray:
+    """Unit projection of the normalized all-ones vector onto the row span.
+
+    ``null_rows`` holds an orthonormal basis of the nullspace, one row per
+    vector, so the result depends only on the nullspace, not on the basis.
+    Where the all-ones vector is orthogonal to the nullspace the projector's
+    column with the largest diagonal entry stands in for it.
+    """
+    coords = null_rows.sum(axis=1)
+    if not np.linalg.norm(coords) > null_rows.shape[1] * np.finfo(float).eps:
+        coords = null_rows[:, np.argmax(np.einsum("ij,ij->j", null_rows, null_rows))]
+    x = coords @ null_rows
+    return x / np.linalg.norm(x)
+
+
+def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, np.ndarray, np.ndarray]:
+    """Numeric rank, singular values and the canonical null vector of m.
+
+    Everything is read off the QR R factor of m (see ``_r_factor``), and
+    no left factor is formed. The singular values, one per column (zeros
+    for the rows a wide m lacks), count towards the rank when above
+    tol_rel * sigma_0. The returned vector is the unit projection of the
+    normalized all-ones vector onto the nullspace, so it depends on the
+    nullspace alone: when that is one-dimensional, it is the null vector
+    whose entries sum to a positive value.
+
+    In exact arithmetic R has one zero diagonal entry per null direction.
+    When the rows R lacks plus its diagonal entries at or below tol_rel
+    times the largest one count two or more, the full SVD of R gives the
+    rank and the nullspace basis at once (the trailing rows of V^T).
+    Otherwise the singular values alone decide the rank; rank = columns - 1
+    takes one step of inverse iteration on R^T R, accepted when
+    ||R x|| <= 10 sigma_min + n eps sigma_0, and any other rank, or a
+    rejected step, falls back to the full SVD. Raises
+    DegenerateRecoveryError when m has full column rank.
+    """
+    r = _r_factor(m)
+    n = r.shape[1]
+    diag = np.abs(np.diagonal(r))
+    if n - r.shape[0] + np.count_nonzero(diag <= tol_rel * diag.max()) < 2:
+        rank, sigma = _rank_and_sigma(r, tol_rel)
+        if rank == n - 1 and rank > 0:
+            x = _inverse_iteration(r, sigma[0])
+            if np.linalg.norm(r @ x) <= 10 * sigma[-1] + n * np.finfo(float).eps * sigma[0]:
+                return rank, sigma, _canonical(x[None, :])
+    rank, sigma, vt = _rank_and_sigma(r, tol_rel, compute_uv=True)
+    if rank == n:
+        raise DegenerateRecoveryError(f"numeric rank {rank} equals the column count: no null vector")
+    return rank, sigma, _canonical(vt[rank:])
 
 
 def numeric_rank(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above tol_rel times the largest one."""
-    return nullspace(m, tol_rel)[0]
+    return _rank_and_sigma(_r_factor(m), tol_rel)[0]
 
 
 def nullspace_report(m: np.ndarray, tol_rel: float, n_params: int | None = None) -> RecoveryReport:
     """The recovery body of both routes: validate, factor, report.
 
-    The lowest right-singular vector is rescaled so its leading ``n_params``
-    entries (all of them when None) have unit norm; on the joint route the
-    trailing entries are the eigenvalues under the same scale. Raises
-    DegenerateRecoveryError when that leading block vanishes.
+    The canonical null vector (see ``nullspace``) is rescaled so its
+    leading ``n_params`` entries (all of them when None) have unit norm; on
+    the joint route the trailing entries are the eigenvalues under the same
+    scale. Raises DegenerateRecoveryError when m has full column rank or
+    that leading block vanishes.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     if not np.any(m):
         raise ValueError("constraint matrix is identically zero")
-    rank, gap, sigma_min, x = nullspace(m, tol_rel)
+    rank, sigma, x = nullspace(m, tol_rel)
     norm_a = np.linalg.norm(x[:n_params])
     if norm_a < 1e-12:
         raise DegenerateRecoveryError("null vector has no coefficient component")
+    n_cols = m.shape[1]
     return RecoveryReport(
         coefficients=x[:n_params] / norm_a,
         rank=rank,
-        gap=gap,
-        sigma_min=sigma_min,
-        unique=gap == 0,
+        gap=n_cols - (rank + 1),
+        sigma_min=float(sigma[-1]),
+        margin=float(np.log10(sigma[rank - 1] / sigma[rank])) if sigma[rank] > 0 else None,
+        unique=rank == n_cols - 1,
         eigenvalues=None if n_params is None else x[n_params:] / norm_a,
     )
 
 
 def recover(g: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:
-    """Recover unit-norm coefficients as the lowest right-singular vector.
+    """Recover unit-norm coefficients as a null vector of G.
 
-    Solves min ||G a|| subject to ||a|| = 1. The report carries the numeric
-    rank of G and the resulting ambiguity gap; a positive gap means the
-    minimizer is not unique and the returned vector is one arbitrary choice.
+    Solves G a = 0 subject to ||a|| = 1 (see ``nullspace``). The report
+    carries the numeric rank of G and the resulting ambiguity gap; a
+    positive gap means the solution is not unique, and the returned vector
+    is then the nullspace's canonical element, not the true coefficients.
     """
     return nullspace_report(g, tol_rel)
 

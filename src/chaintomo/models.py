@@ -130,16 +130,22 @@ def term_amplitudes(basis: TermBasis, psi: np.ndarray) -> np.ndarray:
 def assemble(basis: TermBasis, coeffs: np.ndarray) -> np.ndarray:
     """Dense Hamiltonian sum_n coeffs[n] * term_n as a 2**L square matrix.
 
-    Each term is a signed permutation matrix, so the sum is one scatter of
-    the action table, O(N * 2**L). The scatter runs row by row and, within
-    a row, in term order, so every entry sums its terms in a fixed order
-    and H is exactly Hermitian for real coefficients.
+    Each term is a signed permutation matrix that sends row i to column
+    i ^ flip, flip marking its X and Y sites. The terms of one flip share
+    their entries, so they are summed first, in term order, into one row of
+    an (F, 2**L) table per distinct flip, and H takes the table in one
+    indexed write, O(N * 2**L). Every entry thus sums its terms in a fixed
+    order, and H is exactly Hermitian for real coefficients.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.n_params,):
         raise ValueError(f"expected {basis.n_params} coefficients, got shape {coeffs.shape}")
     src, phase = action_table(basis.terms, basis.L)
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
     phase *= coeffs
-    np.add.at(h, (np.arange(basis.dim)[:, None], src), phase)
+    _, first, group = np.unique(src[0], return_index=True, return_inverse=True)
+    table = np.zeros((len(first), basis.dim), dtype=complex)
+    for n, g in enumerate(group):
+        table[g] += phase[:, n]
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    h[np.arange(basis.dim)[:, None], src[:, first]] = table.T
     return h

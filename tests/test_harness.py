@@ -281,6 +281,16 @@ def test_aggregate_counts_rejected_trials():
     assert row.success_rate == 0.0
 
 
+def test_full_rank_constraint_matrix_names_the_trial(tmp_path, monkeypatch):
+    # a constraint matrix of full column rank has no null vector: the trial
+    # fails loudly, named, instead of scoring a least-singular vector
+    monkeypatch.setattr(harness.hoe, "constraint_matrices",
+                        lambda basis, state, methods: (np.eye(basis.n_params), None))
+    cfg = _tiny_cfg(tmp_path, methods=("hoe",))
+    with pytest.raises(NumericalFailureError, match=r"model=h2 L=2 q=1 trial=0: numeric rank 15"):
+        run_trial(cfg, "h2", 2, 1, 0)
+
+
 def test_aggregate_all_rejected_is_an_error():
     with pytest.raises(NumericalFailureError):
         aggregate([_rec(rejected=True)], ("hoe",), 1e-6)
@@ -384,6 +394,7 @@ def test_recover_instance_report():
     assert "eigenvalues" not in result["hoe"]
     assert result["relations"]["rank_relation_ok"]
     assert result["relations"]["gap_relation_ok"]
+    assert result["hoe"]["margin"] >= 3 and result["eee"]["margin"] >= 3
     json.dumps(result)  # fully serializable
     assert recover_instance("h2", 3, 2, seed=0) == result
 

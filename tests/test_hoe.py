@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaintomo import eee
 from chaintomo.hoe import (
     DEFAULT_RANK_TOL,
+    DegenerateRecoveryError,
     constraint_matrices,
     constraint_matrix,
     nullspace,
@@ -191,36 +194,125 @@ def test_recover_input_validation():
             nullspace(np.eye(3), tol_rel=tol)
 
 
-def _full_svd_reference(m):
-    # reference: the SVD of the matrix itself with the full V^T, no R factor
+def _canonical_reference(m):
+    # reference: the SVD of the matrix itself with the full V^T, no R factor,
+    # and the all-ones vector projected onto its trailing rows
     _, sigma, vt = np.linalg.svd(m, full_matrices=True)
+    sigma = np.pad(sigma, (0, m.shape[1] - sigma.size))
     rank = int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
-    return rank, m.shape[1] - (rank + 1), sigma[0], vt[-1]
+    x = vt[rank:].sum(axis=1) @ vt[rank:]
+    return rank, sigma, x / np.linalg.norm(x)
 
 
 def test_nullspace_matches_full_svd_reference():
     # every cell of every family up to L = 7, q = 3: the joint matrix is wide
-    # at the smallest cells and tall elsewhere, the commutator one square
-    shapes = set()
+    # at the smallest cells and tall elsewhere, the commutator one square.
+    # The returned vector is the canonical element at every gap, with its
+    # sign fixed by the reference vector, so no sign is aligned here
+    shapes, gaps = set(), set()
     for kind in MODEL_KINDS:
         for L in range(min_length(kind), 8):
             for q in (1, 2, 3):
                 for seed in range(3):
                     basis, _, _, state = _instance(kind, L, q, seed)
                     for m in (constraint_matrix(basis, state), eee.constraint_matrix(basis, state)):
-                        rank, gap, sigma_min, vec = nullspace(m)
-                        ref_rank, ref_gap, sigma_0, ref_vec = _full_svd_reference(m)
+                        rank, sigma, vec = nullspace(m)
+                        ref_rank, ref_sigma, ref_vec = _canonical_reference(m)
                         where = (kind, L, q, seed, m.shape)
-                        assert (rank, gap) == (ref_rank, ref_gap), where
-                        if gap == 0:
-                            sign = 1.0 if np.dot(vec, ref_vec) >= 0 else -1.0
-                            assert np.max(np.abs(vec - sign * ref_vec)) <= 1e-8, where
+                        assert rank == ref_rank, where
+                        assert np.max(np.abs(sigma - ref_sigma)) <= 1e-12 * ref_sigma[0], where
+                        assert np.max(np.abs(vec - ref_vec)) <= 1e-8, where
+                        gaps.add(rank < m.shape[1] - 1)
                         if m.shape[0] < m.shape[1]:
-                            assert sigma_min == 0.0, where
+                            assert sigma[-1] == 0.0, where
                         else:
-                            assert sigma_min <= DEFAULT_RANK_TOL * sigma_0, where
+                            assert sigma[-1] <= DEFAULT_RANK_TOL * sigma[0], where
                         shapes.add(np.sign(m.shape[0] - m.shape[1]))
     assert shapes == {-1, 0, 1}
+    assert gaps == {False, True}  # one-dimensional and larger nullspaces both met
+
+
+@st.composite
+def _planted(draw):
+    # an exact nullspace of dimension d: z exact-zero columns plus d - z
+    # random directions among the others; the kept singular values lie in
+    # [1, 2], and the rows make the matrix wide, square or tall (up to 9
+    # times taller than wide, past the two-half factorization's threshold)
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, min(4, n)))
+    z = draw(st.integers(0, d))
+    shape = draw(st.sampled_from(["wide", "square", "tall"]))
+    rows = {"wide": draw(st.integers(max(1, n - d), max(1, n - 1))), "square": n,
+            "tall": draw(st.integers(n + 1, 9 * n + 1))}[shape]
+    return n, d, z, rows, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_planted())
+def test_nullspace_finds_planted_nullspaces(case):
+    n, d, z, rows, seed = case
+    rng = np.random.default_rng(seed)
+    cols = rng.permutation(n)
+    zero, kept = cols[:z], cols[z:]
+    basis = np.linalg.qr(rng.standard_normal((len(kept), len(kept))))[0]
+    null = np.zeros((n, d))
+    null[zero, np.arange(z)] = 1.0
+    null[kept, z:] = basis[:, : d - z]
+    m = np.zeros((rows, n))
+    if n > d:
+        left = np.linalg.qr(rng.standard_normal((rows, n - d)))[0] * rng.uniform(1.0, 2.0, n - d)
+        m[:, kept] = left @ basis[:, d - z :].T
+    rank, sigma, vec = nullspace(m)
+    assert rank == n - d
+    assert sigma.shape == (n,) and np.all(sigma[rank:] <= 1e-14 * max(sigma[0], 1.0))
+    assert np.linalg.norm(m @ vec) <= 1e-13
+    expected = null @ null.sum(axis=0)
+    assert np.max(np.abs(vec - expected / np.linalg.norm(expected))) <= 1e-12
+    assert numeric_rank(m) == rank
+
+
+def test_canonical_element_where_the_reference_is_orthogonal():
+    # two equal columns: the null vector (1, -1)/sqrt(2) is orthogonal to
+    # the all-ones reference, and inverse iteration from it fails the
+    # residual check; the projector's column with the largest diagonal
+    # entry (the first, on a tie) fixes the sign instead
+    rank, sigma, vec = nullspace(np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 3.0]]))
+    assert rank == 2
+    assert np.max(np.abs(vec - np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0))) <= 1e-15
+
+
+def test_unique_recovery_never_forms_the_left_factor(monkeypatch):
+    # at a unique cell both routes read the null vector off R by inverse
+    # iteration: no SVD with singular vectors, which would build U
+    basis, coeffs, _, state = _instance("h3table", 8, 3, seed=1)
+    g, qmat = constraint_matrices(basis, state)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(kw.get("compute_uv", True))
+                        or svd(a, *args, **kw))
+    reports = [recover(g), eee.recover(qmat, basis.n_params)]
+    assert calls == [False, False]
+    for report in reports:
+        assert report.unique
+        assert reconstruction_error(coeffs, report.coefficients) < 1e-6
+
+
+def test_full_column_rank_fails_loudly():
+    assert numeric_rank(np.eye(5)) == 5
+    with pytest.raises(DegenerateRecoveryError, match="rank 3"):
+        recover(np.eye(3))
+    with pytest.raises(DegenerateRecoveryError, match="rank 4"):
+        eee.recover(np.vstack([np.eye(4), np.ones((2, 4))]), 2)
+
+
+def test_rank_margin_at_a_unique_cell():
+    basis, _, _, state = _instance("h3table", 6, 3, seed=1)
+    g, qmat = constraint_matrices(basis, state)
+    for report in (recover(g), eee.recover(qmat, basis.n_params)):
+        assert report.unique
+        assert report.margin >= 3
+    # a wide matrix's dropped singular values are exact zeros: no margin
+    assert recover(np.array([[1.0, 2.0, 0.0]])).margin is None
 
 
 def test_successful_recovery_cell():

@@ -15,7 +15,7 @@ from chaintomo.models import (
     sample_params,
     term_amplitudes,
 )
-from chaintomo.pauli import string_matrix
+from chaintomo.pauli import action_table, string_matrix
 
 from reference_grids import (
     H2_PARAM_COUNT,
@@ -144,6 +144,23 @@ def test_assemble_matches_dense_sum():
         dense = sum(c * string_matrix(t) for c, t in zip(coeffs, basis.terms))
         assert np.max(np.abs(h - dense)) < 1e-12
         assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+def _scatter_reference(basis, coeffs):
+    # every term scattered into H, row by row and within a row in term order
+    src, phase = action_table(basis.terms, basis.L)
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    np.add.at(h, (np.arange(basis.dim)[:, None], src), phase * coeffs)
+    return h
+
+
+def test_assemble_is_bit_identical_to_the_term_scatter():
+    # summing each flip group first keeps every entry's sum in term order
+    for kind in MODEL_KINDS:
+        for L in range(min_length(kind), 9):
+            basis = enumerate_terms(kind, L)
+            coeffs = sample_params(basis, L)
+            assert np.array_equal(assemble(basis, coeffs), _scatter_reference(basis, coeffs)), (kind, L)
 
 
 def test_assemble_validates_length():

@@ -96,7 +96,9 @@ class ExperimentConfig:
         if len(self.L_range) != 2:
             raise ConfigError(f"L_range must be a (low, high) pair, got {self.L_range!r}")
         lo, hi = self.L_range
-        if not (isinstance(lo, int) and isinstance(hi, int)) or lo > hi:
+        # type() rather than isinstance(): JSON true and false load as bools,
+        # which isinstance counts as ints
+        if type(lo) is not int or type(hi) is not int or lo > hi:
             raise ConfigError(f"bad L_range {self.L_range!r}")
         if lo < models.min_length(self.model):
             raise ConfigError(
@@ -105,24 +107,24 @@ class ExperimentConfig:
         if not self.q_list:
             raise ConfigError("q_list must not be empty")
         for q in self.q_list:
-            if not isinstance(q, int) or q < 1:
-                raise ConfigError(f"bad q value {q!r}")
+            if type(q) is not int or q < 1:
+                raise ConfigError(f"bad q value {q!r} in q_list")
             if q > 2**lo:
                 raise ConfigError(f"q={q} exceeds the Hilbert dimension at L={lo}")
             spacing = q * (q - 1) / 2 * spectral.MIN_PROB_GAP
             if spacing > 1:
                 raise ConfigError(f"q={q} leaves no probabilities {spectral.MIN_PROB_GAP} apart to draw: "
                                   f"q(q - 1)/2 * MIN_PROB_GAP = {spacing:g} > 1")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.selection_policy not in spectral.SELECTION_POLICIES:
             raise ConfigError(f"unknown selection policy {self.selection_policy!r}")
         for key in ("rank_tol", "success_threshold"):
             value = getattr(self, key)
-            if not isinstance(value, (int, float)) or not value > 0:
-                raise ConfigError(f"{key} must be a positive number, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
+                raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
         if not self.methods:
             raise ConfigError("methods must not be empty")
         for m in self.methods:
@@ -134,7 +136,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} repeats a value: {values!r}")
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if type(self.workers) is not int or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
 
     def cells(self) -> list[tuple[int, int]]:

@@ -14,11 +14,11 @@ inverse iteration on the QR R factor of G, see ``nullspace``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import TermBasis, term_amplitudes
+from .models import TermBasis
 from .pauli import PauliString, action_table
 from .spectral import SteadyState
 
@@ -66,14 +66,6 @@ class RecoveryReport:
     eigenvalues: np.ndarray | None = None
 
 
-def check_state(basis: TermBasis, state: SteadyState) -> None:
-    """The one state check of both routes' constraint builders."""
-    if not isinstance(state, SteadyState):
-        raise TypeError(f"expected a SteadyState, got {type(state).__name__}")
-    if state.dim != basis.dim:
-        raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
-
-
 def constraint_matrices(
     basis: TermBasis, state: SteadyState, methods: tuple[str, ...] = ("hoe", "eee")
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -93,7 +85,10 @@ def constraint_matrices(
     share one real block of the same column order, so G is bit-identical
     whichever routes run.
     """
-    check_state(basis, state)
+    if not isinstance(state, SteadyState):
+        raise TypeError(f"expected a SteadyState, got {type(state).__name__}")
+    if state.dim != basis.dim:
+        raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
     dim, n, q = basis.dim, basis.n_params, state.q
     # Q before the table: the other order left the acceptance sweeps' peak
     # RSS 3.5 MB higher through heap placement, with no more memory live
@@ -143,22 +138,18 @@ def constraint_matrix(
     observable outside the term set restores the odd rank (see
     ranks.predict_ranks).
 
-    Custom observables take their own gather: with w = h_n|psi_mu> and
-    u = K_m|psi_mu>, <i[K_m, h_n]>_mu = -2 Im(u^H w), which avoids any
-    dim x dim products.
+    Custom observables K_m run through the same pass, on the union basis
+    of the observables followed by the terms: its G block of observable
+    rows and term columns is -2 sum_mu p_mu Im(u_m^H w_n) with
+    u = K_m|psi_mu> and w = h_n|psi_mu>, which is <i[K_m, h_n]>.
     """
     if observables is None:
         return constraint_matrices(basis, state, ("hoe",))[0]
-    check_state(basis, state)
     if len(observables) == 0:
         raise ValueError("observable list must not be empty")
-    obs_src, obs_phase = action_table(observables, basis.L)
-    g = np.zeros((len(observables), basis.n_params))
-    for mu in range(state.q):
-        psi = state.states[:, mu]
-        w = term_amplitudes(basis, psi)
-        g += state.probs[mu] * ((obs_phase * psi[obs_src]).conj().T @ w).imag
-    return -2.0 * g
+    m = len(observables)
+    union = replace(basis, terms=tuple(observables) + basis.terms)
+    return constraint_matrices(union, state, ("hoe",))[0][:m, m:]
 
 
 def _r_factor(m: np.ndarray) -> np.ndarray:
@@ -184,8 +175,8 @@ def _r_factor(m: np.ndarray) -> np.ndarray:
 def _rank_and_sigma(r: np.ndarray, tol_rel: float, compute_uv: bool = False):
     """Rank and singular values of R, padded with zeros to one per column,
     and with ``compute_uv`` the full V^T as well."""
-    if not tol_rel > 0:
-        raise ValueError(f"tol_rel must be positive, got {tol_rel}")
+    if not 0 < tol_rel < np.inf:
+        raise ValueError(f"tol_rel must be positive and finite, got {tol_rel}")
     out = np.linalg.svd(r, compute_uv=compute_uv)
     sigma = np.pad(out[1] if compute_uv else out, (0, r.shape[1] - r.shape[0]))
     rank = int(np.count_nonzero(sigma > tol_rel * sigma[0]))

@@ -115,9 +115,10 @@ def term_amplitudes(basis: TermBasis, psi: np.ndarray) -> np.ndarray:
     """Matrix whose n-th column is term_n applied to the state psi.
 
     Shape (2**L, N): one gather through the terms' action table, built
-    for this call. Both recovery routes are linear in these amplitudes;
-    ``hoe.constraint_matrices`` gathers them itself, with one table for
-    all mixed states.
+    for this call. Both recovery routes are linear in these amplitudes,
+    but neither calls this: ``hoe.constraint_matrices`` gathers them
+    itself, with one table for all mixed states, custom observables
+    included.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.dim,):

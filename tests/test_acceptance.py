@@ -10,9 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaintomo import eee, hoe
-from chaintomo.harness import ExperimentConfig, run_experiment
+from chaintomo.harness import ExperimentConfig, run_experiment, run_trial
 from chaintomo.models import (
     MODEL_KINDS,
     assemble,
@@ -27,7 +29,7 @@ from chaintomo.ranks import (
     predict_ranks,
     recovery_condition,
 )
-from chaintomo.spectral import build_steady_state, eig_hermitian
+from chaintomo.spectral import SELECTION_POLICIES, build_steady_state, eig_hermitian
 from conftest import TRIALS
 from reference_grids import (
     CRITICAL_LENGTHS,
@@ -199,6 +201,30 @@ def test_property_rank_saturates_under_added_observables():
         widened = hoe.constraint_matrix(basis, state, observables=all_strings)
         assert widened.shape == (63, basis.n_params)
         assert hoe.numeric_rank(widened) == base_rank
+
+
+@st.composite
+def _rank_law_draws(draw):
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    L = draw(st.integers(min_length(kind), 6))
+    q = draw(st.integers(1, min(4, 2**L)))
+    return kind, L, q, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(SELECTION_POLICIES))
+
+
+@pytest.mark.criterion(7)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_rank_law_draws())
+def test_property_rank_laws_on_random_cells(draw):
+    # both measured ranks and gaps equal the closed form at any cell, seed
+    # and selection policy, not only on the acceptance grids
+    kind, L, q, seed, policy = draw
+    cfg = ExperimentConfig(model=kind, L_range=(L, L), q_list=(q,), trials=1, seed=seed,
+                           selection_policy=policy)
+    rec = run_trial(cfg, kind, L, q, 0)
+    pred = predict_ranks(kind, L, q)
+    assert not rec.rejected
+    assert (rec.r, rec.r_prime, rec.delta_gap, rec.delta_gap_prime) == (
+        pred.r, pred.r_prime, pred.gap, pred.gap_prime), draw
 
 
 @pytest.mark.criterion(7)

@@ -137,6 +137,9 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     ("rank_tol", "1e-10"), ("success_threshold", None),
     # a repeated q or method would run and count every trial of it twice
     ("q_list", [2, 2]), ("methods", ["hoe", "hoe"]),
+    # JSON true is a bool and Infinity a float: neither is a count or a tolerance
+    ("trials", True), ("q_list", [True]), ("seed", False), ("workers", True),
+    ("rank_tol", True), ("rank_tol", float("inf")), ("success_threshold", float("inf")),
 ])
 def test_run_rejects_bad_config_values(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -211,7 +214,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
-    for tol in ("0", "-1"):
+    for tol in ("0", "-1", "inf"):
         assert cli.main(["recover", "--model", "h2", "--L", "4", "--q", "1", "--rank-tol", tol]) == 2
     # chain too short for the family, q outside 1..2**L
     for args in (["--model", "h2", "--L", "1"], ["--model", "h2", "--L", "2", "--q", "0"],

@@ -158,6 +158,16 @@ def test_run_trial_and_recover_instance_score_alike(model, L, q, methods, tmp_pa
     ("q_list", (3, 3)),
     ("q_list", (1, 2, 1)),
     ("methods", ("hoe", "hoe")),
+    # JSON true loads as a bool, which isinstance counts as an int, and
+    # JSON Infinity as a float
+    ("trials", True),
+    ("q_list", (True,)),
+    ("seed", True),
+    ("workers", True),
+    ("rank_tol", True),
+    ("rank_tol", float("inf")),
+    ("success_threshold", True),
+    ("success_threshold", float("inf")),
 ])
 def test_config_validation_rejects(field, value, tmp_path):
     cfg = _tiny_cfg(tmp_path, **{field: value})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaintomo import eee
+from chaintomo import eee, hoe, models
 from chaintomo.hoe import (
     DEFAULT_RANK_TOL,
     DegenerateRecoveryError,
@@ -19,8 +19,8 @@ from chaintomo.hoe import (
     reconstruction_error,
     recover,
 )
-from chaintomo.models import MODEL_KINDS, assemble, enumerate_terms, min_length, sample_params
-from chaintomo.pauli import action_table, commutator, expectation, string_matrix
+from chaintomo.models import MODEL_KINDS, assemble, enumerate_terms, min_length, sample_params, term_amplitudes
+from chaintomo.pauli import action_table, commutator, string_matrix
 from chaintomo.spectral import build_steady_state, eig_hermitian
 
 
@@ -32,20 +32,65 @@ def _instance(kind="h2", L=3, q=2, seed=0):
     return basis, coeffs, h, state
 
 
+def _custom_observable_sets(basis, rng):
+    # the terms plus one string outside them (where one exists), a random
+    # set that repeats some terms, and at L <= 3 every traceless string
+    every = ["".join(p) for p in itertools.product("IXYZ", repeat=basis.L)][1:]
+    terms = [t.ops for t in basis.terms]
+    outside = sorted(set(every) - set(terms))
+    sets = [terms + [outside[rng.integers(len(outside))]]] if outside else []
+    repeated = [terms[i] for i in rng.integers(len(terms), size=4)]
+    picked = [every[i] for i in rng.integers(len(every), size=6)] + 2 * repeated
+    sets.append([picked[i] for i in rng.permutation(len(picked))])
+    if basis.L <= 3:
+        sets.append(every)
+    return sets
+
+
 def test_entries_match_expectation_oracle():
-    # dense oracle at every cell up to L=5: G[m, n] = Tr(rho i[h_m, h_n]) =
-    # Tr(h_n i[rho, h_m]) by cyclicity, one commutator per row
+    # dense oracle at every cell up to L=5: G[m, n] = Tr(rho i[K_m, h_n]) =
+    # Tr(h_n i[rho, K_m]) by cyclicity, one commutator per row; K_m are the
+    # terms by default, or custom sets, which take the same pass
     for kind in MODEL_KINDS:
         for L in range(min_length(kind), 6):
             for q in (1, 2, 3):
                 basis, _, _, state = _instance(kind, L, q, seed=L + q)
-                g = constraint_matrices(basis, state, ("hoe",))[0]
-                dense = [string_matrix(t) for t in basis.terms]
-                rows = [1j * commutator(state.rho, k) for k in dense]
-                oracle = np.array([[expectation(h_n, row) for h_n in dense] for row in rows])
-                assert np.max(np.abs(oracle.imag)) <= 1e-12
-                assert np.max(np.abs(g - oracle.real)) <= 1e-13 * np.max(np.abs(g)), (kind, L, q)
-                assert np.array_equal(g, -g.T), (kind, L, q)
+                # Tr(h_n row) for every term at once: row . h_n^T, flattened
+                dense_t = np.array([string_matrix(t).T.ravel() for t in basis.terms]).T
+                rng = np.random.default_rng([L, q])
+                for observables in [None, *_custom_observable_sets(basis, rng)]:
+                    g = constraint_matrix(basis, state, observables)
+                    rows = [1j * commutator(state.rho, string_matrix(k)).ravel()
+                            for k in (basis.terms if observables is None else observables)]
+                    oracle = np.array(rows) @ dense_t
+                    assert np.max(np.abs(oracle.imag)) <= 1e-12
+                    assert np.max(np.abs(g - oracle.real)) <= 1e-13 * np.max(np.abs(g)), (kind, L, q, observables)
+                    if observables is None:
+                        assert np.array_equal(g, -g.T), (kind, L, q)
+
+
+def test_custom_observables_take_one_table(monkeypatch):
+    # observables and terms share one pass: one action table for all q
+    # states, and no per-state amplitude gather
+    basis, _, _, state = _instance("h2", 3, 3, seed=11)
+    tables, gathers = [], []
+
+    def counting_table(strings, L):
+        tables.append(len(strings))
+        return action_table(strings, L)
+
+    def counting_gather(*args):
+        gathers.append(args)
+        return term_amplitudes(*args)
+
+    monkeypatch.setattr(hoe, "action_table", counting_table)
+    monkeypatch.setattr(models, "action_table", counting_table)
+    monkeypatch.setattr(models, "term_amplitudes", counting_gather)
+    monkeypatch.setattr(hoe, "term_amplitudes", counting_gather, raising=False)
+    g = constraint_matrix(basis, state, observables=["XYX", "ZIZ"])
+    assert g.shape == (2, basis.n_params)
+    assert tables == [2 + basis.n_params]
+    assert gathers == []
 
 
 def test_diagonal_vanishes():
@@ -187,7 +232,7 @@ def test_recover_input_validation():
         recover(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         recover(np.ones(4))
-    for tol in (0.0, -1.0, float("nan")):
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             recover(np.eye(3), tol_rel=tol)
         with pytest.raises(ValueError):

@@ -440,6 +440,8 @@ def recover_instance(model: str, L: int, q: int, seed: int = 0, selection: str =
             "unique": report.unique,
             "reconstruction_error": delta,
             "coefficients": [float(v) for v in report.coefficients],
+            "kept": report.kept,
+            "dropped": report.dropped,
         }
         if report.eigenvalues is not None:
             result[method]["eigenvalues"] = [float(v) for v in report.eigenvalues]

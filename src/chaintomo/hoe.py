@@ -54,7 +54,9 @@ class RecoveryReport:
     the smallest kept and the largest dropped singular value, or None when
     the latter is exactly 0. ``eigenvalues`` holds the energies the joint
     route recovers alongside, scaled by the same factor as the
-    coefficients; it is None on the commutator route.
+    coefficients; it is None on the commutator route. ``kept`` and ``dropped``
+    are log10(sigma_r / cut) and log10(cut / sigma_{r+1}) at the rank cut
+    tol * sigma_0, ``dropped`` None when sigma_{r+1} is exactly 0.
     """
 
     coefficients: np.ndarray
@@ -64,6 +66,8 @@ class RecoveryReport:
     margin: float | None
     unique: bool
     eigenvalues: np.ndarray | None = None
+    kept: float | None = None
+    dropped: float | None = None
 
 
 def constraint_matrices(
@@ -286,7 +290,7 @@ def nullspace_report(m: np.ndarray, tol_rel: float, n_params: int | None = None)
     norm_a = np.linalg.norm(x[:n_params])
     if norm_a < 1e-12:
         raise DegenerateRecoveryError("null vector has no coefficient component")
-    n_cols = m.shape[1]
+    n_cols, cut = m.shape[1], tol_rel * sigma[0]
     return RecoveryReport(
         coefficients=x[:n_params] / norm_a,
         rank=rank,
@@ -295,6 +299,8 @@ def nullspace_report(m: np.ndarray, tol_rel: float, n_params: int | None = None)
         margin=float(np.log10(sigma[rank - 1] / sigma[rank])) if sigma[rank] > 0 else None,
         unique=rank == n_cols - 1,
         eigenvalues=None if n_params is None else x[n_params:] / norm_a,
+        kept=float(np.log10(sigma[rank - 1] / cut)),
+        dropped=float(np.log10(cut / sigma[rank])) if sigma[rank] > 0 else None,
     )
 
 

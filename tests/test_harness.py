@@ -405,6 +405,9 @@ def test_recover_instance_report():
     assert result["relations"]["rank_relation_ok"]
     assert result["relations"]["gap_relation_ok"]
     assert result["hoe"]["margin"] >= 3 and result["eee"]["margin"] >= 3
+    for method in ("hoe", "eee"):
+        r = result[method]
+        assert r["kept"] > 0 and r["kept"] + r["dropped"] == pytest.approx(r["margin"], abs=1e-9)
     json.dumps(result)  # fully serializable
     assert recover_instance("h2", 3, 2, seed=0) == result
 

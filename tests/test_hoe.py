@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaintomo import eee, hoe, models
+from chaintomo import eee, harness, hoe, models
 from chaintomo.hoe import (
     DEFAULT_RANK_TOL,
     DegenerateRecoveryError,
@@ -358,6 +358,21 @@ def test_rank_margin_at_a_unique_cell():
         assert report.margin >= 3
     # a wide matrix's dropped singular values are exact zeros: no margin
     assert recover(np.array([[1.0, 2.0, 0.0]])).margin is None
+    assert recover(np.array([[1.0, 2.0, 0.0]])).dropped is None
+
+
+def test_kept_shows_a_rank_decision_the_margin_hides():
+    # G's smallest kept singular value sits 5% above the cut 1e-10 * sigma_0,
+    # while the one below it is at round-off, so the margin reads 7 decades
+    basis, _, state, _ = harness.draw_instance("h3table", 7, 1, 5, 1, "lowest")
+    g, qmat = constraint_matrices(basis, state)
+    report = recover(g)
+    assert report.gap == 0
+    assert report.margin > 7
+    assert 0 < report.kept < 1
+    assert report.dropped > 7
+    for r in (report, eee.recover(qmat, basis.n_params)):
+        assert r.kept + r.dropped == pytest.approx(r.margin, abs=1e-9)
 
 
 def test_successful_recovery_cell():

@@ -1,5 +1,7 @@
 """Eigendecomposition and steady-state mixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,68 @@ def test_failed_certificate_or_run_falls_back_to_dense(monkeypatch):
     assert np.array_equal(state.probs, expected.probs)
     assert np.max(np.abs(state.energies - expected.energies)) <= 1e-12 * np.max(np.abs(w))
     assert np.max(np.abs(np.abs(expected.states.conj().T @ state.states) - np.eye(3))) <= 1e-10
+
+
+def _same_decision(a):
+    """Factor ``a`` both ways; assert they raise alike and, where they
+    succeed, that the blocked factor reproduces ``a`` to round-off. Returns
+    whether it was positive definite."""
+    try:
+        expected = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        expected = None
+    w = a.copy()
+    try:
+        spectral._cholesky_in_place(w)
+    except np.linalg.LinAlgError:
+        assert expected is None
+        return False
+    assert expected is not None
+    factor, v = np.tril(w), np.random.default_rng(0).standard_normal(a.shape[0])
+    assert np.linalg.norm(factor @ (factor.conj().T @ v) - a @ v) <= 1e-13 * np.linalg.norm(a) * np.linalg.norm(v)
+    return True
+
+
+def test_blocked_certificate_decides_as_cholesky():
+    # the certificate matrices of Lanczos runs, with and without the
+    # deflation term, at shifts just below and above lambda_q and
+    # lambda_{q+1}; the dimensions are 2 and 4 strips
+    outcomes = []
+    for kind, L in [("h2", 8), ("h3table", 8), ("h3table", 9)]:
+        _, _, h = _random_instance(kind, L, seed=L)
+        lam = np.linalg.eigvalsh(h)
+        for q in (1, 2, 3, 4):
+            ritz, spread = spectral._lanczos(h, q, h.shape[0])
+            states = spectral._rayleigh_ritz(h, ritz)[1]
+            deflation = states @ ((2 * spread + 1) * states.conj().T)
+            for shift in (lam[q - 1 : q + 1, None] + np.array([-1e-10, 1e-10]) * spread).ravel():
+                for m in (h, h + deflation):
+                    outcomes.append(_same_decision(m - shift * np.eye(h.shape[0])))
+    assert 0 < sum(outcomes) < len(outcomes)
+    # random matrices whose last strip is short, on both sides of the cut
+    rng = np.random.default_rng(7)
+    for n in (300, 513):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = a @ a.conj().T / n
+        lam = np.linalg.eigvalsh(a)
+        for shift in (lam[0] - 1e-3, lam[0] + 1e-9, lam[3] - 1e-9, lam[-1] + 1e-3):
+            assert _same_decision(a - shift * np.eye(n)) == (shift < lam[0])
+
+
+def test_certificate_adds_at_most_one_and_a_half_dense_matrices():
+    # the certificate matrix is factored where it is formed: beside the live
+    # H the pick holds that one working matrix and strips of it, where a
+    # whole np.linalg.cholesky held it plus its factor (2 matrices traced)
+    _, _, h = _random_instance(kind="h3table", L=9, seed=1)
+    eig = eig_hermitian(h)
+    tracemalloc.start()
+    try:
+        build_steady_state(eig, 3, "lowest", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "eigenvalues" not in vars(eig)  # the Lanczos path, not the dense one
+    assert peak <= 1.5 * h.nbytes, peak / h.nbytes
 
 
 def test_lowest_pick_never_computes_the_whole_spectrum(monkeypatch):

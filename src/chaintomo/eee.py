@@ -8,7 +8,7 @@ is linear in the stacked unknowns x = (a_1..a_N, E_1..E_q):
 
 Splitting real and imaginary parts gives a real constraint matrix with
 q * 2**(L+1) rows and N + q columns. Recovery is again a nullspace
-problem, solved by ``hoe.nullspace`` with the coefficient block rescaled
+problem, solved by ``hoe.recover`` with the coefficient block rescaled
 to unit norm; the eigenvalues come out scaled by the same factor as the
 coefficients.
 """
@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hoe import DEFAULT_RANK_TOL, DegenerateRecoveryError, RecoveryReport, constraint_matrices, nullspace_report
+from . import hoe
+from .hoe import DEFAULT_RANK_TOL, DegenerateRecoveryError, RecoveryReport, constraint_matrices
 from .models import TermBasis
 from .spectral import SteadyState
 
-# DegenerateRecoveryError is raised in the shared recovery body and stays
-# importable from here, the one route that can raise it
+# DegenerateRecoveryError is raised in hoe.recover and stays importable
+# from here, the one route that can raise it
 
 
 @dataclass(frozen=True)
@@ -32,14 +33,13 @@ class MethodComparison:
     """Consistency record between the two recovery routes on one trial.
 
     The rank of the joint matrix should exceed the commutator one by
-    exactly q, and the ambiguity gaps should coincide. Angle and aligned
-    distance between the recovered vectors are filled when both routes
+    exactly q, and the ambiguity gaps should coincide. The sign-aligned
+    distance between the recovered unit vectors is filled when both routes
     were unambiguous.
     """
 
     rank_relation_ok: bool
     gap_relation_ok: bool
-    angle: float | None
     aligned_distance: float | None
 
 
@@ -57,17 +57,13 @@ def constraint_matrix(basis: TermBasis, state: SteadyState) -> np.ndarray:
 def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:
     """Split the canonical null vector of Q into coefficients and energies.
 
-    The null vector (see ``hoe.nullspace``) is rescaled so its leading
-    ``n_params`` block has unit norm; the trailing block then holds the
-    eigenvalues under the same scale. Raises DegenerateRecoveryError when
-    Q has full column rank, or when that block vanishes, which only happens
-    for degenerate instances where no unit-coefficient solution exists in
-    the ambiguous subspace.
+    ``hoe.recover`` with the leading ``n_params`` columns as the coefficient
+    block, after checking that both blocks are non-empty.
     """
-    # any other shape is rejected by the shared body
+    # any other shape is rejected by hoe.recover
     if np.ndim(qmat) == 2 and not 0 < n_params < np.shape(qmat)[1]:
         raise ValueError(f"n_params={n_params} incompatible with {np.shape(qmat)[1]} columns")
-    return nullspace_report(qmat, tol_rel, n_params)
+    return hoe.recover(qmat, tol_rel, n_params)
 
 
 def compare_methods(hoe_report: RecoveryReport, joint: RecoveryReport, q: int) -> MethodComparison:
@@ -79,20 +75,14 @@ def compare_methods(hoe_report: RecoveryReport, joint: RecoveryReport, q: int) -
     and both flags come back False by design.
 
     When both routes are unambiguous the recovered coefficient vectors are
-    also compared: sign-aligned distance and subtended angle.
+    also compared by their sign-aligned distance.
     """
-    rank_ok = joint.rank == hoe_report.rank + q
-    gap_ok = joint.gap == hoe_report.gap
-    angle = None
     dist = None
     if hoe_report.unique and joint.unique:
-        dot = float(np.dot(hoe_report.coefficients, joint.coefficients))
-        sign = 1.0 if dot >= 0 else -1.0
+        sign = 1.0 if np.dot(hoe_report.coefficients, joint.coefficients) >= 0 else -1.0
         dist = float(np.linalg.norm(hoe_report.coefficients - sign * joint.coefficients))
-        angle = float(np.arccos(min(1.0, abs(dot))))
     return MethodComparison(
-        rank_relation_ok=rank_ok,
-        gap_relation_ok=gap_ok,
-        angle=angle,
+        rank_relation_ok=joint.rank == hoe_report.rank + q,
+        gap_relation_ok=joint.gap == hoe_report.gap,
         aligned_distance=dist,
     )

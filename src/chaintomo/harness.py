@@ -373,6 +373,17 @@ def write_aggregate_json(path, rows: list[AggregateRow]) -> None:
     Path(path).write_text(json.dumps([asdict(row) for row in rows], indent=2) + "\n")
 
 
+def _output_dir(path) -> Path:
+    """``path`` as a directory, created with its parents if missing;
+    ConfigError when it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
     """Run the full grid, persist trials and aggregates, return the rows.
 
@@ -384,8 +395,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
     abort. ``aggregate.json`` is written once the grid is complete.
     """
     cfg.validate()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg.out_dir)
     trials_path = out_dir / "trials.csv"
     tasks = [(cfg, cfg.model, L, q, t) for L, q in cfg.cells() for t in range(cfg.trials)]
     records: list[TrialRecord] = []
@@ -414,8 +424,10 @@ def recover_instance(model: str, L: int, q: int, seed: int = 0, selection: str =
 
     Unlike run_trial this keeps the recovered vectors, so the result is a
     JSON-friendly dict with per-method reports plus the cross-method
-    relation checks. Uses the same seed streams as the sweep runner:
-    trial index 0 of the given master seed. Bad arguments raise ConfigError.
+    relation checks. Each route's report holds every RecoveryReport field
+    as it is, arrays as lists, plus its ``reconstruction_error``. Uses the
+    same seed streams as the sweep runner: trial index 0 of the given
+    master seed. Bad arguments raise ConfigError.
     """
     ExperimentConfig(model, (L, L), (q,), seed=seed, selection_policy=selection, rank_tol=rank_tol,
                      methods=methods).validate()
@@ -428,23 +440,12 @@ def recover_instance(model: str, L: int, q: int, seed: int = 0, selection: str =
     result: dict = {
         "model": model, "L": L, "q": q, "seed": seed, "selection": selection,
         "n_params": basis.n_params,
-        "true_coefficients": [float(v) for v in a_true],
+        "true_coefficients": a_true.tolist(),
     }
     for method, report in reports.items():
-        delta, rank, gap = _score(report, a_true)
-        result[method] = {
-            "rank": rank,
-            "gap": gap,
-            "sigma_min": report.sigma_min,
-            "margin": report.margin,
-            "unique": report.unique,
-            "reconstruction_error": delta,
-            "coefficients": [float(v) for v in report.coefficients],
-            "kept": report.kept,
-            "dropped": report.dropped,
-        }
-        if report.eigenvalues is not None:
-            result[method]["eigenvalues"] = [float(v) for v in report.eigenvalues]
+        result[method] = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                          for key, value in asdict(report).items()}
+        result[method]["reconstruction_error"] = hoe.reconstruction_error(a_true, report.coefficients)
     if rel is not None:
         result["relations"] = asdict(rel)
     return result
@@ -527,8 +528,7 @@ def emit_figure_data(which: int, results: list[AggregateRow], out_dir) -> list[P
     """
     if which not in FIGURES:
         raise ValueError(f"no such figure: {which}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
     paths = []
     for model, lengths in REPORT_GRIDS.items():
         index = _report_cells(results, model, FIGURES[which])
@@ -564,7 +564,7 @@ def reproduce_table(which: int, trials: int = 200, seed: int = 0, out_dir="resul
     out = Path(out_dir)
     rows = None if which == 5 else _run_report_grid(*TABLES[which], trials, seed, out, workers)
     text, csv_text = render_table(which, rows)
-    out.mkdir(parents=True, exist_ok=True)
+    _output_dir(out)
     (out / f"table{which}.txt").write_text(text)
     (out / f"table{which}.csv").write_text(csv_text)
     return text, csv_text

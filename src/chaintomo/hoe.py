@@ -42,7 +42,7 @@ class DegenerateRecoveryError(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Outcome of one nullspace recovery, on either route.
+    """Outcome of one nullspace recovery, on either route (see ``recover``).
 
     ``coefficients`` is the unit-norm recovered vector, ``rank`` the
     numeric rank of the constraint matrix, ``gap`` the dimension of the
@@ -50,20 +50,18 @@ class RecoveryReport:
     ``gap`` is positive ``unique`` is False and the recovered vector is the
     canonical element of the nullspace: the unit projection of the
     normalized all-ones vector onto it, which depends on the nullspace
-    alone. ``margin`` is log10(sigma_r / sigma_{r+1}), the decades between
-    the smallest kept and the largest dropped singular value, or None when
-    the latter is exactly 0. ``eigenvalues`` holds the energies the joint
-    route recovers alongside, scaled by the same factor as the
-    coefficients; it is None on the commutator route. ``kept`` and ``dropped``
-    are log10(sigma_r / cut) and log10(cut / sigma_{r+1}) at the rank cut
-    tol * sigma_0, ``dropped`` None when sigma_{r+1} is exactly 0.
+    alone. ``eigenvalues`` holds the energies the joint route recovers
+    alongside, scaled by the same factor as the coefficients; it is None on
+    the commutator route. ``kept`` and ``dropped`` are log10(sigma_r / cut)
+    and log10(cut / sigma_{r+1}) at the rank cut tol * sigma_0, ``dropped``
+    None when sigma_{r+1} is exactly 0; their sum is the decades between
+    the smallest kept and the largest dropped singular value.
     """
 
     coefficients: np.ndarray
     rank: int
     gap: int
     sigma_min: float
-    margin: float | None
     unique: bool
     eigenvalues: np.ndarray | None = None
     kept: float | None = None
@@ -272,14 +270,18 @@ def numeric_rank(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     return _rank_and_sigma(_r_factor(m), tol_rel)[0]
 
 
-def nullspace_report(m: np.ndarray, tol_rel: float, n_params: int | None = None) -> RecoveryReport:
-    """The recovery body of both routes: validate, factor, report.
+def recover(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL, n_params: int | None = None) -> RecoveryReport:
+    """Recover unit-norm coefficients as a null vector of a constraint matrix.
 
-    The canonical null vector (see ``nullspace``) is rescaled so its
-    leading ``n_params`` entries (all of them when None) have unit norm; on
-    the joint route the trailing entries are the eigenvalues under the same
-    scale. Raises DegenerateRecoveryError when m has full column rank or
-    that leading block vanishes.
+    The one report builder of both routes. Solves m x = 0 (see
+    ``nullspace``) and rescales the canonical null vector so its leading
+    ``n_params`` entries (all of them when None, as for G) have unit norm;
+    on the joint route the trailing entries are the eigenvalues under the
+    same scale. The report carries the numeric rank and the resulting
+    ambiguity gap; a positive gap means the solution is not unique, and the
+    returned vector is then the nullspace's canonical element, not the true
+    coefficients. Raises DegenerateRecoveryError when m has full column
+    rank or that leading block vanishes.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -296,23 +298,11 @@ def nullspace_report(m: np.ndarray, tol_rel: float, n_params: int | None = None)
         rank=rank,
         gap=n_cols - (rank + 1),
         sigma_min=float(sigma[-1]),
-        margin=float(np.log10(sigma[rank - 1] / sigma[rank])) if sigma[rank] > 0 else None,
         unique=rank == n_cols - 1,
         eigenvalues=None if n_params is None else x[n_params:] / norm_a,
         kept=float(np.log10(sigma[rank - 1] / cut)),
         dropped=float(np.log10(cut / sigma[rank])) if sigma[rank] > 0 else None,
     )
-
-
-def recover(g: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:
-    """Recover unit-norm coefficients as a null vector of G.
-
-    Solves G a = 0 subject to ||a|| = 1 (see ``nullspace``). The report
-    carries the numeric rank of G and the resulting ambiguity gap; a
-    positive gap means the solution is not unique, and the returned vector
-    is then the nullspace's canonical element, not the true coefficients.
-    """
-    return nullspace_report(g, tol_rel)
 
 
 def reconstruction_error(a_true: np.ndarray, a_recovered: np.ndarray) -> float:

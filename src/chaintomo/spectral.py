@@ -77,8 +77,9 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     """Wrap a Hermitian matrix for ``build_steady_state``; its eigenvalues
     are computed on first access.
 
-    Raises ValueError when the input is not square or departs from
-    Hermiticity by more than 1e-12 relative to its largest entry.
+    Raises ValueError when the input is not square, has a non-finite
+    entry, or departs from Hermiticity by more than 1e-12 relative to its
+    largest entry.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
@@ -89,8 +90,12 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     for i in range(0, h.shape[0], HERMITIAN_CHECK_ROWS):
         e = i + HERMITIAN_CHECK_ROWS
         upper, lower = h[i:e, i:], h[i:, i:e]
+        # np.max keeps a NaN where Python's max would drop it
+        peaks = [float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))]
+        if not np.all(np.isfinite(peaks)):
+            raise ValueError("matrix has a non-finite entry")
+        scale = max(scale, *peaks)
         asym = max(asym, float(np.max(np.abs(upper - lower.conj().T))))
-        scale = max(scale, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
     if asym > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not Hermitian within tolerance")
     return EigDecomposition(matrix=h)

@@ -229,6 +229,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
     assert "q=50" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # an output directory that cannot be made: an existing file, or a path below one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg_path.write_text(json.dumps({"model": "h2", "L_range": [2, 2], "q_list": [1], "trials": 1}))
+    for argv in (["run", "--config", str(cfg_path), "--out-dir", str(blocker)],
+                 ["run", "--config", str(cfg_path), "--out-dir", str(blocker / "sub")],
+                 ["reproduce", "--table", "5", "--out-dir", str(blocker / "sub")],
+                 ["reproduce", "--table", "1", "--trials", "1", "--out-dir", str(blocker)],
+                 ["reproduce", "--figure", "1", "--trials", "1", "--out-dir", str(blocker)]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: cannot create output directory "), argv
     # a q below 1 anywhere in the list fails before any line is printed
     for qs in (["0"], ["2", "-3"]):
         capsys.readouterr()

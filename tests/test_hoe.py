@@ -350,29 +350,35 @@ def test_full_column_rank_fails_loudly():
         eee.recover(np.vstack([np.eye(4), np.ones((2, 4))]), 2)
 
 
+def _decades_across_cut(m: np.ndarray) -> float:
+    """log10(sigma_r / sigma_{r+1}) at m's rank, from the singular values ``nullspace`` cuts."""
+    rank, sigma, _ = nullspace(m)
+    return float(np.log10(sigma[rank - 1] / sigma[rank]))
+
+
 def test_rank_margin_at_a_unique_cell():
     basis, _, _, state = _instance("h3table", 6, 3, seed=1)
     g, qmat = constraint_matrices(basis, state)
-    for report in (recover(g), eee.recover(qmat, basis.n_params)):
+    for m, report in ((g, recover(g)), (qmat, eee.recover(qmat, basis.n_params))):
         assert report.unique
-        assert report.margin >= 3
-    # a wide matrix's dropped singular values are exact zeros: no margin
-    assert recover(np.array([[1.0, 2.0, 0.0]])).margin is None
+        assert report.kept + report.dropped >= 3
+        assert report.kept + report.dropped == pytest.approx(_decades_across_cut(m), abs=1e-9)
+    # a wide matrix's dropped singular values are exact zeros: nothing dropped to measure
     assert recover(np.array([[1.0, 2.0, 0.0]])).dropped is None
 
 
 def test_kept_shows_a_rank_decision_the_margin_hides():
     # G's smallest kept singular value sits 5% above the cut 1e-10 * sigma_0,
-    # while the one below it is at round-off, so the margin reads 7 decades
+    # while the one below it is at round-off, so kept + dropped reads 7 decades
     basis, _, state, _ = harness.draw_instance("h3table", 7, 1, 5, 1, "lowest")
     g, qmat = constraint_matrices(basis, state)
     report = recover(g)
     assert report.gap == 0
-    assert report.margin > 7
+    assert report.kept + report.dropped > 7
     assert 0 < report.kept < 1
     assert report.dropped > 7
-    for r in (report, eee.recover(qmat, basis.n_params)):
-        assert r.kept + r.dropped == pytest.approx(r.margin, abs=1e-9)
+    for m, r in ((g, report), (qmat, eee.recover(qmat, basis.n_params))):
+        assert r.kept + r.dropped == pytest.approx(_decades_across_cut(m), abs=1e-9)
 
 
 def test_successful_recovery_cell():

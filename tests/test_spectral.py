@@ -286,6 +286,12 @@ def test_hermiticity_check_finds_one_entry_in_any_strip():
                     eig_hermitian(bad)
             else:
                 eig_hermitian(bad)
+        # a non-finite entry fails on its own, not as a Hermiticity departure
+        for value in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+            bad = h.copy()
+            bad[i, j] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                eig_hermitian(bad)
 
 
 def test_pure_state_is_projector():

@@ -49,7 +49,9 @@ def constraint_matrix(basis: TermBasis, state: SteadyState) -> np.ndarray:
     Row layout is fixed: for each mixed state in ascending energy order,
     first the real parts of its 2**L equations, then the imaginary parts.
     The last q columns carry -psi_mu in column mu, pairing eigenvalue mu
-    with its state. Built by ``hoe.constraint_matrices``, in Fortran order.
+    with its state. Built by ``hoe.constraint_matrices``, in Fortran order;
+    a sweep trial never forms it where its state blocks are reduced one by
+    one (see ``recover``).
     """
     return constraint_matrices(basis, state, ("eee",))[1]
 
@@ -58,11 +60,22 @@ def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) 
     """Split the canonical null vector of Q into coefficients and energies.
 
     ``hoe.recover`` with the leading ``n_params`` columns as the coefficient
-    block, after checking that both blocks are non-empty.
+    block, after checking that both blocks are non-empty. With q = columns
+    - ``n_params``, Q is read as q row blocks of equal height, one per mixed
+    state; where ``hoe.state_blocks_reduce`` holds for them, each is
+    reduced to its QR R factor first and the stacked factors are recovered
+    from. That is the matrix ``hoe.constraint_matrices(..., by_state=True)``
+    returns in place of Q, so both give the same report bit for bit.
     """
-    # any other shape is rejected by hoe.recover
-    if np.ndim(qmat) == 2 and not 0 < n_params < np.shape(qmat)[1]:
-        raise ValueError(f"n_params={n_params} incompatible with {np.shape(qmat)[1]} columns")
+    if np.ndim(qmat) == 2:  # any other shape is rejected by hoe.recover
+        n_rows, n_cols = np.shape(qmat)
+        if not 0 < n_params < n_cols:
+            raise ValueError(f"n_params={n_params} incompatible with {n_cols} columns")
+        q = n_cols - n_params
+        height = n_rows // q
+        if height * q == n_rows and hoe.state_blocks_reduce(height, n_cols):
+            qmat = np.concatenate([np.linalg.qr(qmat[mu * height : (mu + 1) * height], mode="r")
+                                   for mu in range(q)])
     return hoe.recover(qmat, tol_rel, n_params)
 
 

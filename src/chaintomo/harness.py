@@ -40,6 +40,9 @@ METHODS = tuple(ROUTE_FIELDS)
 
 MAX_DEGENERACY_RETRIES = 16
 
+# the files a sweep writes under its output directory
+SWEEP_FILES = ("trials.csv", "aggregate.json")
+
 TRIAL_CSV_COLUMNS = (
     "model",
     "L",
@@ -266,12 +269,13 @@ def _naming_failures(instance: str):
 def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: tuple[str, ...], rank_tol: float):
     """Run the selected recovery routes on one drawn instance.
 
-    Both constraint matrices come from one pass over the mixed states; the
-    commutator SVD runs before the joint QR. Returns ``(reports,
+    Both constraint matrices come from one pass over the mixed states,
+    which reduces Q state by state where ``hoe.state_blocks_reduce`` says
+    so; the commutator SVD runs before the joint QR. Returns ``(reports,
     relations)``: the reports keyed by method in METHODS order, and the
     cross-route checks when both routes ran (else None).
     """
-    g, qmat = hoe.constraint_matrices(basis, state, methods)
+    g, qmat = hoe.constraint_matrices(basis, state, methods, by_state=True)
     reports = {}
     if g is not None:
         reports["hoe"] = hoe.recover(g, rank_tol)
@@ -384,6 +388,18 @@ def _output_dir(path) -> Path:
     return out
 
 
+def _output_files(out_dir, *names: str) -> list[Path]:
+    """The files ``names`` under ``out_dir``, created as by ``_output_dir``;
+    ConfigError when a directory takes the path of one, so that a run
+    fails before its first trial, not at its first write."""
+    out = _output_dir(out_dir)
+    paths = [out / name for name in names]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"output file {path} is a directory")
+    return paths
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
     """Run the full grid, persist trials and aggregates, return the rows.
 
@@ -395,8 +411,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
     abort. ``aggregate.json`` is written once the grid is complete.
     """
     cfg.validate()
-    out_dir = _output_dir(cfg.out_dir)
-    trials_path = out_dir / "trials.csv"
+    trials_path, aggregate_path = _output_files(cfg.out_dir, *SWEEP_FILES)
     tasks = [(cfg, cfg.model, L, q, t) for L, q in cfg.cells() for t in range(cfg.trials)]
     records: list[TrialRecord] = []
     try:
@@ -414,7 +429,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
     records.sort(key=lambda r: (r.model, r.L, r.q, r.trial_index))
     write_trials_csv(trials_path, records)
     rows = aggregate(records, cfg.methods, cfg.success_threshold)
-    write_aggregate_json(out_dir / "aggregate.json", rows)
+    write_aggregate_json(aggregate_path, rows)
     return rows
 
 
@@ -520,6 +535,12 @@ def render_table(which: int, results: list[AggregateRow] | None = None) -> tuple
     return _format_text_table(header, body), _csv_text(header, body)
 
 
+def _figure_files(which: int, out_dir) -> dict[tuple[str, int], Path]:
+    """The series files of a figure, keyed by (model, q), as checked by ``_output_files``."""
+    names = {(model, q): f"figure{which}_{model}_q{q}.csv" for model in REPORT_GRIDS for q in REPORT_QS}
+    return dict(zip(names, _output_files(out_dir, *names.values())))
+
+
 def emit_figure_data(which: int, results: list[AggregateRow], out_dir) -> list[Path]:
     """Write one plottable series file per (model, q) of a figure.
 
@@ -528,8 +549,7 @@ def emit_figure_data(which: int, results: list[AggregateRow], out_dir) -> list[P
     """
     if which not in FIGURES:
         raise ValueError(f"no such figure: {which}")
-    out_dir = _output_dir(out_dir)
-    paths = []
+    paths = _figure_files(which, out_dir)
     for model, lengths in REPORT_GRIDS.items():
         index = _report_cells(results, model, FIGURES[which])
         for q in REPORT_QS:
@@ -538,10 +558,8 @@ def emit_figure_data(which: int, results: list[AggregateRow], out_dir) -> list[P
             for L in lengths:
                 row = index[(L, q)]
                 body.append([str(L), repr(row.median_delta), repr(row.lower_dev), repr(row.upper_dev)])
-            path = out_dir / f"figure{which}_{model}_q{q}.csv"
-            path.write_text(_csv_text(header, body))
-            paths.append(path)
-    return paths
+            paths[model, q].write_text(_csv_text(header, body))
+    return list(paths.values())
 
 
 def _run_report_grid(model: str, method: str, trials: int, seed: int, out_dir, workers: int) -> list[AggregateRow]:
@@ -557,25 +575,33 @@ def reproduce_table(which: int, trials: int = 200, seed: int = 0, out_dir="resul
     """Run whatever simulation a reference table needs and render it.
 
     Writes ``table{which}.txt`` and ``table{which}.csv`` under out_dir,
-    next to the underlying trial data for tables 1-4.
+    next to the underlying trial data for tables 1-4. Every output path
+    is checked before any trial runs (the sweep's own by ``run_experiment``).
     """
     if which != 5 and which not in TABLES:
         raise ValueError(f"no such table: {which}")
     out = Path(out_dir)
+    text_path, csv_path = _output_files(out, f"table{which}.txt", f"table{which}.csv")
     rows = None if which == 5 else _run_report_grid(*TABLES[which], trials, seed, out, workers)
     text, csv_text = render_table(which, rows)
-    _output_dir(out)
-    (out / f"table{which}.txt").write_text(text)
-    (out / f"table{which}.csv").write_text(csv_text)
+    text_path.write_text(text)
+    csv_path.write_text(csv_text)
     return text, csv_text
 
 
 def reproduce_figure(which: int, trials: int = 200, seed: int = 0, out_dir="results",
                      workers: int = 1) -> list[Path]:
-    """Run both panels of a reference figure and write the series files."""
+    """Run both panels of a reference figure and write the series files.
+
+    Every output path, each panel's sweep files included, is checked
+    before any trial runs.
+    """
     if which not in FIGURES:
         raise ValueError(f"no such figure: {which}")
     out = Path(out_dir)
+    _figure_files(which, out)
+    for model in REPORT_GRIDS:
+        _output_files(out / model, *SWEEP_FILES)
     rows = [row for model in REPORT_GRIDS
             for row in _run_report_grid(model, FIGURES[which], trials, seed, out / model, workers)]
     return emit_figure_data(which, rows, out)

@@ -25,8 +25,9 @@ from .spectral import SteadyState
 DEFAULT_RANK_TOL = 1e-10
 
 # rows of a state's term amplitudes gathered at a time through one complex
-# buffer, so that no (2**L, N) complex array is formed
-GATHER_ROWS = 128
+# buffer, so that no (2**L, N) complex array is formed; np.take casts each
+# chunk of the int32 table's indices to intp, half the buffer again
+GATHER_ROWS = 64
 
 # rows of R per diagonal block of the blocked triangular solves
 SOLVE_BLOCK = 64
@@ -34,6 +35,10 @@ SOLVE_BLOCK = 64
 # rows per column from which a matrix's R factor is taken from its two row
 # halves (see _r_factor)
 TSQR_ASPECT = 8
+
+# rows per column from which each mixed state's row block of the joint
+# matrix is reduced to its own R factor (see state_blocks_reduce)
+STATE_R_ASPECT = 4
 
 
 class DegenerateRecoveryError(RuntimeError):
@@ -69,16 +74,16 @@ class RecoveryReport:
 
 
 def constraint_matrices(
-    basis: TermBasis, state: SteadyState, methods: tuple[str, ...] = ("hoe", "eee")
+    basis: TermBasis, state: SteadyState, methods: tuple[str, ...] = ("hoe", "eee"), by_state: bool = False
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Both routes' constraint matrices ``(G, Q)`` from one pass over the states.
 
     Each matrix is None unless its route ("hoe" or "eee") is in ``methods``.
     The terms' action table is built once per pass, and each mixed state's
     amplitudes A_mu = (h_n|psi_mu>)_n are gathered once, GATHER_ROWS rows at
-    a time, straight into the mu-th block of the Fortran-ordered Q: Re A_mu
-    over Im A_mu (see eee.constraint_matrix for the layout). G is read off
-    the same block, with X_mu = (Re A_mu)^T (Im A_mu):
+    a time, straight into the mu-th row block of the Fortran-ordered Q:
+    Re A_mu over Im A_mu (see eee.constraint_matrix for the layout). G is
+    read off the same block, with X_mu = (Re A_mu)^T (Im A_mu):
 
         G = -2 sum_mu p_mu (X_mu - X_mu^T),
 
@@ -86,16 +91,29 @@ def constraint_matrices(
     product per state, and G is exactly antisymmetric. Without Q the states
     share one real block of the same column order, so G is bit-identical
     whichever routes run.
+
+    With ``by_state``, where a state's block is at least STATE_R_ASPECT
+    times taller than wide (see ``state_blocks_reduce``), each block is
+    reduced to its QR R factor as soon as it is gathered, and the Q
+    returned is the stack of those q factors, (N + q) rows each: the
+    matrix ``eee.recover`` factors when given the whole Q, bit for bit.
+    The tall Q is then never formed.
     """
     if not isinstance(state, SteadyState):
         raise TypeError(f"expected a SteadyState, got {type(state).__name__}")
     if state.dim != basis.dim:
         raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
     dim, n, q = basis.dim, basis.n_params, state.q
+    with_q = "eee" in methods
+    by_state = by_state and with_q and state_blocks_reduce(2 * dim, n + q)
     # Q before the table: the other order left the acceptance sweeps' peak
     # RSS 3.5 MB higher through heap placement, with no more memory live
-    qmat = np.zeros((2 * dim * q, n + q), order="F") if "eee" in methods else None
-    block = np.empty((2 * dim, n), order="F") if qmat is None else None
+    if by_state:
+        qmat, block = np.empty((q * (n + q), n + q)), np.empty((2 * dim, n + q), order="F")
+    elif with_q:
+        qmat, block = np.zeros((2 * dim * q, n + q), order="F"), None
+    else:
+        qmat, block = None, np.empty((2 * dim, n), order="F")
     src, phase = action_table(basis.terms, basis.L)
     chunk_buf = np.empty((min(GATHER_ROWS, dim), n), dtype=complex)
     with_g = "hoe" in methods
@@ -103,21 +121,25 @@ def constraint_matrices(
         acc, x = np.zeros((n, n)), np.empty((n, n))
     for mu in range(q):
         psi = np.ascontiguousarray(state.states[:, mu], dtype=complex)
-        if qmat is not None:
-            top = 2 * dim * mu
-            block = qmat[top : top + 2 * dim, :n]
-            qmat[top : top + dim, n + mu] = -psi.real
-            qmat[top + dim : top + 2 * dim, n + mu] = -psi.imag
+        if with_q:
+            if by_state:
+                block[:, n:] = 0.0
+            else:
+                block = qmat[2 * dim * mu : 2 * dim * (mu + 1)]
+            block[:dim, n + mu] = -psi.real
+            block[dim:, n + mu] = -psi.imag
         for r in range(0, dim, GATHER_ROWS):
             e = min(r + GATHER_ROWS, dim)
             chunk = np.take(psi, src[r:e], out=chunk_buf[: e - r], mode="clip")
             chunk *= phase[r:e]
-            block[r:e] = chunk.real
-            block[dim + r : dim + e] = chunk.imag
+            block[r:e, :n] = chunk.real
+            block[dim + r : dim + e, :n] = chunk.imag
         if with_g:
-            np.matmul(block[:dim].T, block[dim:], out=x)
+            np.matmul(block[:dim, :n].T, block[dim:, :n], out=x)
             x *= state.probs[mu]
             acc += x
+        if by_state:
+            qmat[mu * (n + q) : (mu + 1) * (n + q)] = np.linalg.qr(block, mode="r")
     if not with_g:
         return None, qmat
     g = np.subtract(acc, acc.T, out=x)
@@ -152,6 +174,19 @@ def constraint_matrix(
     m = len(observables)
     union = replace(basis, terms=tuple(observables) + basis.terms)
     return constraint_matrices(union, state, ("hoe",))[0][:m, m:]
+
+
+def state_blocks_reduce(block_rows: int, n_cols: int) -> bool:
+    """Whether the joint route reduces each state's row block of Q, of
+    ``block_rows`` rows and ``n_cols`` columns, to its R factor on its own.
+
+    It does where the block is at least STATE_R_ASPECT times taller than
+    wide: the q stacked R factors, N + q rows each, then stand in for Q,
+    for at most about 1/6 more QR flops than one QR of Q. Less tall blocks
+    would cost more (about 40% more at h3table L = 8-9, q = 3), so there
+    Q is factored whole.
+    """
+    return block_rows >= STATE_R_ASPECT * n_cols
 
 
 def _r_factor(m: np.ndarray) -> np.ndarray:

@@ -63,23 +63,34 @@ def string_matrix(s: PauliString | str) -> np.ndarray:
     return reduce(np.kron, (PAULI_MATRICES[c] for c in ops))
 
 
-def action_table(strings: Sequence[PauliString | str], L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signed-permutation form of M Pauli strings on L sites, one column each.
+def string_masks(strings: Sequence[PauliString | str], L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bit masks of M Pauli strings on L sites: ``(flip, sign, n_y)``, one entry each.
 
     A Pauli string maps basis state |j> to i**n_y (-1)**popcount(j & sign) |j ^ flip>,
     where flip marks its X and Y sites, sign its Y and Z sites and n_y counts its
-    Y sites. Returns ``(src, phase)``, both of shape (2**L, M), such that
-    ``(K_m @ psi)[i] = phase[i, m] * psi[src[i, m]]``.
+    Y sites; site 1 owns the most significant bit. The masks are int32.
     """
     ops = [s.ops if isinstance(s, PauliString) else PauliString(s).ops for s in strings]
     if any(len(o) != L for o in ops):
         raise ValueError(f"every Pauli string must cover {L} sites")
     chars = np.frombuffer("".join(ops).encode(), dtype=np.uint8).reshape(len(ops), L)
     x, y, z = (chars == ord(c) for c in "XYZ")
-    bits = 1 << np.arange(L - 1, -1, -1)  # site 1 owns the most significant bit
-    src = np.arange(1 << L)[:, None] ^ ((x | y) @ bits)
-    odd = np.bitwise_count(src & ((y | z) @ bits)) & 1
-    i_pow = np.array([1j**k for k in range(L + 1)])[y.sum(axis=1)]  # i**n_y per string
+    bits = 1 << np.arange(L - 1, -1, -1, dtype=np.int32)
+    return (x | y) @ bits, (y | z) @ bits, y.sum(axis=1)
+
+
+def action_table(strings: Sequence[PauliString | str], L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed-permutation form of M Pauli strings on L sites, one column each.
+
+    Returns ``(src, phase)``, both of shape (2**L, M), such that
+    ``(K_m @ psi)[i] = phase[i, m] * psi[src[i, m]]``, from the masks of
+    ``string_masks``. ``src`` is int32 and ``phase`` complex64, which holds
+    the phases +-1 and +-i exactly.
+    """
+    flip, sign, n_y = string_masks(strings, L)
+    src = np.arange(1 << L, dtype=np.int32)[:, None] ^ flip
+    odd = np.bitwise_count(src & sign) & 1
+    i_pow = np.array([1j**k for k in range(L + 1)], dtype=np.complex64)[n_y]  # i**n_y per string
     # signs multiplied in rather than negated, so that no zero part turns into -0.0
     return src, np.where(odd, i_pow * -1.0, i_pow * 1.0)
 

@@ -150,6 +150,29 @@ def test_run_rejects_bad_config_values(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_output_file_taken_by_a_directory_exits_two_before_any_trial(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "h2", "L_range": [2, 3], "q_list": [1], "trials": 1}))
+    out_dir = tmp_path / "out"
+    (out_dir / "aggregate.json").mkdir(parents=True)
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+    assert "aggregate.json" in capsys.readouterr().err
+    assert not (out_dir / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("args,taken", [
+    (["--table", "1"], "table1.csv"),
+    (["--table", "5"], "table5.txt"),
+    (["--figure", "2"], "figure2_h3table_q3.csv"),
+    (["--figure", "1"], "h3table/trials.csv"),
+])
+def test_reproduce_output_file_taken_by_a_directory_exits_two_before_any_trial(tmp_path, capsys, args, taken):
+    (tmp_path / taken).mkdir(parents=True)
+    assert cli.main(["reproduce", *args, "--trials", "1", "--out-dir", str(tmp_path)]) == 2
+    assert taken.split("/")[-1] in capsys.readouterr().err
+    assert not [path for path in tmp_path.rglob("trials.csv") if path.is_file()]
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

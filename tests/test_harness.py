@@ -3,11 +3,12 @@
 import dataclasses
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chaintomo import harness, hoe
+from chaintomo import eee, harness, hoe
 from chaintomo.harness import (
     TRIAL_CSV_COLUMNS,
     AggregateRow,
@@ -295,7 +296,7 @@ def test_full_rank_constraint_matrix_names_the_trial(tmp_path, monkeypatch):
     # a constraint matrix of full column rank has no null vector: the trial
     # fails loudly, named, instead of scoring a least-singular vector
     monkeypatch.setattr(harness.hoe, "constraint_matrices",
-                        lambda basis, state, methods: (np.eye(basis.n_params), None))
+                        lambda basis, state, methods, **_: (np.eye(basis.n_params), None))
     cfg = _tiny_cfg(tmp_path, methods=("hoe",))
     with pytest.raises(NumericalFailureError, match=r"model=h2 L=2 q=1 trial=0: numeric rank 15"):
         run_trial(cfg, "h2", 2, 1, 0)
@@ -412,6 +413,38 @@ def test_recover_instance_report():
         assert r["kept"] > 0 and r["kept"] + r["dropped"] >= 3
     assert json.loads(json.dumps(result)) == result  # lists, numbers, booleans and nulls only
     assert recover_instance("h2", 3, 2, seed=0) == result
+
+
+@pytest.mark.parametrize("model,L,q,by_state", [("h2", 8, 3, True), ("h3table", 7, 3, False)])
+def test_routes_match_the_public_builders_bit_for_bit(model, L, q, by_state):
+    # perfbench's traced replica recovers from the public builders' G and
+    # whole Q, where a sweep trial makes one pass and, at tall state blocks,
+    # never forms Q: the reports must not differ in a single bit
+    basis, _, state, _ = harness.draw_instance(model, L, q, 1, 0, "lowest")
+    assert hoe.state_blocks_reduce(2 * basis.dim, basis.n_params + q) == by_state
+    reports, _ = harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL)
+    public = {"hoe": hoe.recover(hoe.constraint_matrix(basis, state)),
+              "eee": eee.recover(eee.constraint_matrix(basis, state), basis.n_params)}
+    for method, expected in public.items():
+        got = reports[method]
+        assert np.array_equal(got.coefficients, expected.coefficients), method
+        assert (got.rank, got.gap, got.kept, got.dropped) == (expected.rank, expected.gap, expected.kept,
+                                                             expected.dropped), method
+    assert np.array_equal(reports["eee"].eigenvalues, public["eee"].eigenvalues)
+
+
+def test_routes_at_tall_state_blocks_never_hold_the_joint_matrix():
+    # each state's block is reduced to its R factor as it is gathered, so
+    # the routes' peak stays below the whole Q, which they held 1.5 times
+    basis, _, state, _ = harness.draw_instance("h2", 9, 5, 1, 0, "lowest")
+    whole_q = 2 * basis.dim * state.q * (basis.n_params + state.q) * 8
+    tracemalloc.start()
+    try:
+        harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_q, peak / whole_q
 
 
 def test_recover_instance_single_method():

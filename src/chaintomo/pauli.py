@@ -16,6 +16,9 @@ import numpy as np
 
 PAULI_SYMBOLS = "IXYZ"
 
+# i**k for k = 0..3, exact in complex64
+I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex64)
+
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -79,20 +82,32 @@ def string_masks(strings: Sequence[PauliString | str], L: int) -> tuple[np.ndarr
     return (x | y) @ bits, (y | z) @ bits, y.sum(axis=1)
 
 
+def row_action(masks: tuple[np.ndarray, np.ndarray, np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed-permutation form of M Pauli strings on some rows of the basis.
+
+    ``masks`` are the strings' ``string_masks`` and ``rows`` a vector of R
+    basis indices. Returns ``(src, phase)``, both of shape (R, M), such that
+    ``(K_m @ psi)[rows[r]] = phase[r, m] * psi[src[r, m]]``: src = row ^ flip
+    and phase = i**n_y (-1)**popcount(src & sign). ``src`` takes the integer
+    type of ``rows`` and ``phase`` is complex64, which holds the phases +-1
+    and +-i exactly, so every row range gets the same bits as the whole table.
+    """
+    flip, sign, n_y = masks
+    src = rows[:, None] ^ flip
+    odd = np.bitwise_count(src & sign) & 1
+    i_pow = I_POWERS[n_y % 4]
+    # signs multiplied in rather than negated, so that no zero part turns into -0.0
+    return src, np.where(odd, i_pow * -1.0, i_pow * 1.0)
+
+
 def action_table(strings: Sequence[PauliString | str], L: int) -> tuple[np.ndarray, np.ndarray]:
     """Signed-permutation form of M Pauli strings on L sites, one column each.
 
-    Returns ``(src, phase)``, both of shape (2**L, M), such that
-    ``(K_m @ psi)[i] = phase[i, m] * psi[src[i, m]]``, from the masks of
-    ``string_masks``. ``src`` is int32 and ``phase`` complex64, which holds
-    the phases +-1 and +-i exactly.
+    ``row_action`` on every row: ``(src, phase)``, both of shape (2**L, M),
+    such that ``(K_m @ psi)[i] = phase[i, m] * psi[src[i, m]]``. ``src`` is
+    int32 and ``phase`` complex64.
     """
-    flip, sign, n_y = string_masks(strings, L)
-    src = np.arange(1 << L, dtype=np.int32)[:, None] ^ flip
-    odd = np.bitwise_count(src & sign) & 1
-    i_pow = np.array([1j**k for k in range(L + 1)], dtype=np.complex64)[n_y]  # i**n_y per string
-    # signs multiplied in rather than negated, so that no zero part turns into -0.0
-    return src, np.where(odd, i_pow * -1.0, i_pow * 1.0)
+    return row_action(string_masks(strings, L), np.arange(1 << L, dtype=np.int32))
 
 
 def apply_string(s: PauliString | str, psi: np.ndarray) -> np.ndarray:

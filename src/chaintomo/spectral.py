@@ -77,6 +77,10 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     """Wrap a Hermitian matrix for ``build_steady_state``; its eigenvalues
     are computed on first access.
 
+    The matrix is wrapped as it is, not copied, unless it is read-only or
+    not of double precision: ``build_steady_state`` shifts its diagonal
+    while it solves and restores it bit for bit afterwards.
+
     Raises ValueError when the input is not square, has a non-finite
     entry, or departs from Hermiticity by more than 1e-12 relative to its
     largest entry.
@@ -84,6 +88,9 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
+    dtype = np.result_type(h.dtype, float)
+    if h.dtype != dtype or not h.flags.writeable:
+        h = h.astype(dtype)
     # row strip i:e right of the diagonal against the column strip below it,
     # so every entry pair is compared once and no dim x dim temporary is formed
     asym = scale = 0.0
@@ -148,24 +155,29 @@ def _picked_eigenvectors(h: np.ndarray, vals: np.ndarray, idx: np.ndarray) -> np
     span of the q vectors keeps them orthonormal where picked eigenvalues
     lie close. ``vals`` must hold the whole spectrum of ``h``, ascending;
     its ends set the shift nudge.
+
+    Each solve shifts the diagonal of ``h`` itself, which must be writable,
+    and restores it bit for bit before returning or raising.
     """
     dim = h.shape[0]
-    # H is Hermitian, so H - sigma*I reaches the solver as the transpose of
-    # its conjugate: a Fortran-ordered view, which LAPACK takes without a
-    # strided copy
-    shifted_conj = np.conjugate(h, dtype=np.result_type(h.dtype, float))
-    diag = shifted_conj.diagonal().copy()
+    diag = h.diagonal().copy()
     nudge = np.finfo(float).eps * (max(abs(vals[0]), abs(vals[-1])) or 1.0)
 
     def solve(sigma: float, v: np.ndarray) -> np.ndarray:
-        for _ in range(MAX_SHIFT_NUDGES + 1):
-            shifted_conj.flat[:: dim + 1] = diag - sigma
-            try:
-                x = np.linalg.solve(shifted_conj.T, v)
-            except np.linalg.LinAlgError:
-                sigma += nudge
-                continue
-            return x / np.linalg.norm(x)
+        # (H - sigma*I)^T y = conj(v) through the Fortran-ordered view, which
+        # LAPACK takes without a strided copy; x = conj(y) solves
+        # (H - sigma*I)^H x = v, the same system for a Hermitian H
+        try:
+            for _ in range(MAX_SHIFT_NUDGES + 1):
+                h.flat[:: dim + 1] = diag - sigma
+                try:
+                    x = np.linalg.solve(h.T, v.conj()).conj()
+                except np.linalg.LinAlgError:
+                    sigma += nudge
+                    continue
+                return x / np.linalg.norm(x)
+        finally:
+            h.flat[:: dim + 1] = diag
         raise np.linalg.LinAlgError(
             f"shifted matrix exactly singular after {MAX_SHIFT_NUDGES} nudges (shift {sigma:.17g})"
         )
@@ -309,7 +321,9 @@ def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest",
     ``lowest`` pick takes its pairs and the spectral range from a certified
     Lanczos run (``_krylov_lowest``). Otherwise, and whenever that run
     fails to converge or to certify, every decision is made on the whole
-    spectrum and eigenvectors are computed for the picked states only.
+    spectrum and eigenvectors are computed for the picked states only, by
+    solves that shift the diagonal of ``eig.matrix`` in place and restore
+    it bit for bit, also when they raise.
 
     Raises DegenerateSpectrumError when any two selected eigenvalues are
     closer than 1e-10 times the spectral range, or when no well-separated

@@ -140,6 +140,8 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     # JSON true is a bool and Infinity a float: neither is a count or a tolerance
     ("trials", True), ("q_list", [True]), ("seed", False), ("workers", True),
     ("rank_tol", True), ("rank_tol", float("inf")), ("success_threshold", float("inf")),
+    # a rank cut at or above sigma_0 keeps nothing
+    ("rank_tol", 1), ("rank_tol", 2.0),
 ])
 def test_run_rejects_bad_config_values(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -237,7 +239,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
-    for tol in ("0", "-1", "inf"):
+    for tol in ("0", "-1", "inf", "1", "2"):
         assert cli.main(["recover", "--model", "h2", "--L", "4", "--q", "1", "--rank-tol", tol]) == 2
     # chain too short for the family, q outside 1..2**L
     for args in (["--model", "h2", "--L", "1"], ["--model", "h2", "--L", "2", "--q", "0"],

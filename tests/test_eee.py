@@ -116,7 +116,7 @@ def test_input_validation():
         eee.recover(np.eye(4), 0)
     with pytest.raises(ValueError):
         eee.recover(np.eye(4), 4)
-    for tol in (0.0, -1.0, float("inf")):
+    for tol in (0.0, -1.0, float("inf"), 1.0, 2.0):
         with pytest.raises(ValueError):
             eee.recover(np.eye(4)[:3], 2, tol_rel=tol)
 

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -86,6 +89,38 @@ def test_run_trial_matches_predictions(tmp_path):
             assert rec.delta_hoe > 0.1 and rec.delta_eee > 0.1
 
 
+def test_rank_cut_within_a_decade_is_logged(tmp_path, caplog):
+    # seed 5, h3table L=7, q=1, trial 1: G's smallest kept singular value
+    # sits 0.021 decades above the cut; Q's decision is far from its cut
+    cfg = _tiny_cfg(tmp_path, model="h3table", L_range=(7, 7), q_list=(1,), seed=5)
+    with caplog.at_level(logging.WARNING, logger="chaintomo.harness"):
+        rec = run_trial(cfg, "h3table", 7, 1, 1)
+    assert rec.delta_gap == 0 and rec.delta_gap_prime == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "model=h3table L=7 q=1 trial=1 route=hoe kept=0.0209" in warnings[0]
+    caplog.clear()
+    # a unique cell with every decision well clear of its cut logs nothing
+    with caplog.at_level(logging.WARNING, logger="chaintomo.harness"):
+        rec = run_trial(_tiny_cfg(tmp_path, seed=5), "h2", 3, 2, 0)
+    assert rec.delta_gap == 0 and rec.delta_gap_prime == 0
+    assert caplog.records == []
+
+
+def test_serial_runs_never_load_the_pool(tmp_path):
+    # multiprocessing is imported only where a sweep starts a pool
+    code = (
+        "import sys, chaintomo\n"
+        "from chaintomo.harness import ExperimentConfig, run_experiment, recover_instance\n"
+        f"run_experiment(ExperimentConfig('h2', (2, 3), (1, 2), trials=1, out_dir={str(tmp_path)!r}))\n"
+        "recover_instance('h2', 3, 2)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
+
+
 def test_run_trial_single_method(tmp_path):
     cfg = _tiny_cfg(tmp_path, methods=("hoe",))
     rec = run_trial(cfg, "h2", 2, 1, 0)
@@ -167,6 +202,8 @@ def test_run_trial_and_recover_instance_score_alike(model, L, q, methods, tmp_pa
     ("workers", True),
     ("rank_tol", True),
     ("rank_tol", float("inf")),
+    ("rank_tol", 1.0),
+    ("rank_tol", 2),
     ("success_threshold", True),
     ("success_threshold", float("inf")),
 ])

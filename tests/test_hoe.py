@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaintomo import eee, harness, hoe, models
+from chaintomo import eee, harness, hoe, models, pauli
 from chaintomo.hoe import (
     DEFAULT_RANK_TOL,
     DegenerateRecoveryError,
@@ -20,7 +20,7 @@ from chaintomo.hoe import (
     recover,
 )
 from chaintomo.models import MODEL_KINDS, assemble, enumerate_terms, min_length, sample_params, term_amplitudes
-from chaintomo.pauli import action_table, commutator, string_matrix
+from chaintomo.pauli import action_table, commutator, string_masks, string_matrix
 from chaintomo.spectral import build_steady_state, eig_hermitian
 
 
@@ -70,26 +70,27 @@ def test_entries_match_expectation_oracle():
 
 
 def test_custom_observables_take_one_table(monkeypatch):
-    # observables and terms share one pass: one action table for all q
-    # states, and no per-state amplitude gather
+    # observables and terms share one pass: one mask computation for all q
+    # states, no (2**L, N) action table and no per-state amplitude gather
     basis, _, _, state = _instance("h2", 3, 3, seed=11)
-    tables, gathers = [], []
+    masks, tables, gathers = [], [], []
 
-    def counting_table(strings, L):
-        tables.append(len(strings))
-        return action_table(strings, L)
+    def counting_masks(strings, L):
+        masks.append(len(strings))
+        return string_masks(strings, L)
 
-    def counting_gather(*args):
-        gathers.append(args)
-        return term_amplitudes(*args)
+    def counting(calls, f):
+        return lambda *args: calls.append(args) or f(*args)
 
-    monkeypatch.setattr(hoe, "action_table", counting_table)
-    monkeypatch.setattr(models, "action_table", counting_table)
-    monkeypatch.setattr(models, "term_amplitudes", counting_gather)
-    monkeypatch.setattr(hoe, "term_amplitudes", counting_gather, raising=False)
+    monkeypatch.setattr(hoe, "string_masks", counting_masks)
+    monkeypatch.setattr(pauli, "action_table", counting(tables, action_table))
+    monkeypatch.setattr(hoe, "action_table", counting(tables, action_table), raising=False)
+    monkeypatch.setattr(models, "term_amplitudes", counting(gathers, term_amplitudes))
+    monkeypatch.setattr(hoe, "term_amplitudes", counting(gathers, term_amplitudes), raising=False)
     g = constraint_matrix(basis, state, observables=["XYX", "ZIZ"])
     assert g.shape == (2, basis.n_params)
-    assert tables == [2 + basis.n_params]
+    assert masks == [2 + basis.n_params]
+    assert tables == []
     assert gathers == []
 
 
@@ -118,21 +119,28 @@ def test_matrices_are_bit_identical_across_route_subsets():
 
 
 def test_pass_memory_stays_within_its_arrays():
-    # traced peak of one pass at h3table L=9, q=3: its outputs, the action
-    # table, X and its running sum, and 1 MB for the gather buffer; a full
-    # complex (2**L, N) amplitude array (2.7 MB here) would not fit
-    basis, _, _, state = _instance("h3table", 9, 3, seed=3)
-    dim, n, q = basis.dim, basis.n_params, state.q
-    table = sum(a.nbytes for a in action_table(basis.terms, basis.L))
-    products = 2 * n * n * 8
-    for methods, held in [(("hoe", "eee"), 2 * dim * q * (n + q) * 8), (("hoe",), 2 * dim * n * 8)]:
-        tracemalloc.start()
-        try:
-            constraint_matrices(basis, state, methods)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= held + table + products + 2**20, (methods, peak)
+    # traced peak of one pass at h3table q=3: its outputs, X and its running
+    # sum, and 1 MB for a chunk's sources, phases and gather buffer; neither
+    # the (2**L, N) action table (2.2 MB at L=9) nor a full complex amplitude
+    # array (2.9 MB) would fit. At L=10 the joint route reduces each state's
+    # block as it is gathered: it holds the stacked R factors, one block,
+    # the copy np.linalg.qr takes of it and the R it returns
+    for L in (9, 10):
+        basis, _, _, state = _instance("h3table", L, 3, seed=3)
+        dim, n, q = basis.dim, basis.n_params, state.q
+        products = 2 * n * n * 8
+        block, r_factor = 2 * dim * (n + q) * 8, (n + q) ** 2 * 8
+        by_state = hoe.state_blocks_reduce(2 * dim, n + q)
+        assert by_state == (L == 10)
+        joint = q * r_factor + 2 * block + r_factor if by_state else q * block
+        for methods, held in [(("hoe", "eee"), joint), (("hoe",), 2 * dim * n * 8)]:
+            tracemalloc.start()
+            try:
+                constraint_matrices(basis, state, methods, by_state=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= held + products + 2**20, (L, methods, peak)
 
 
 def test_true_coefficients_span_the_nullspace():
@@ -232,7 +240,9 @@ def test_recover_input_validation():
         recover(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         recover(np.ones(4))
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
+    # a cut at or above sigma_0 keeps nothing: tolerances of 1 and more
+    # once read rank 0 and a kept of log10(sigma_min / cut)
+    for tol in (0.0, -1.0, float("nan"), float("inf"), 1.0, 2.0):
         with pytest.raises(ValueError):
             recover(np.eye(3), tol_rel=tol)
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ from chaintomo.pauli import (
     apply_string,
     commutator,
     expectation,
+    row_action,
+    string_masks,
     string_matrix,
 )
 
@@ -74,6 +76,22 @@ def test_action_matches_matrix():
         for m, s in enumerate(strings):
             assert np.array_equal(phase[:, m] * psi[src[:, m]], string_matrix(s) @ psi), s
             assert np.array_equal(apply_string(s, psi), string_matrix(s) @ psi), s
+
+
+def test_row_ranges_carry_the_table_bits():
+    # the constraint pass takes the table's rows chunk by chunk, with intp
+    # or int32 indices: every range must give the table's own bits
+    rng = np.random.default_rng(13)
+    for length in (1, 3, 7):
+        strings = ["I" * length, "Y" * length] + _random_strings(rng, length, 12)
+        src, phase = action_table(strings, length)
+        masks = string_masks(strings, length)
+        for r, e in [(0, 2**length), (0, 1), (max(2**length - 3, 0), 2**length), (1, 2**length // 2 + 1)]:
+            for dtype in (np.int32, np.intp):
+                part_src, part_phase = row_action(masks, np.arange(r, e, dtype=dtype))
+                assert part_src.dtype == dtype and part_phase.dtype == np.complex64
+                assert np.array_equal(part_src, src[r:e])
+                assert part_phase.tobytes() == phase[r:e].tobytes(), (length, r, e)
 
 
 @st.composite

@@ -254,17 +254,37 @@ def test_close_pair_stays_orthonormal():
 
 
 def test_exactly_singular_shift_is_nudged(monkeypatch):
-    # H - lambda_k I has an exactly zero pivot on a diagonal matrix
+    # H - lambda_k I has an exactly zero pivot on a diagonal matrix; the
+    # solves shift H's own diagonal and restore it, also when they raise
     h = string_matrix("ZI") + 2 * string_matrix("IZ")
     eig = eig_hermitian(h)
+    before = h.copy()
+    assert eig.matrix is h
     assert eig.eigenvalues.tolist() == [-3.0, -1.0, 1.0, 3.0]
     for q in (1, 2, 3, 4):
         state = build_steady_state(eig, q, "lowest", 0)
         expected = np.eye(4)[:, [3, 1, 2, 0][:q]]
         assert np.allclose(np.abs(state.states), expected, atol=1e-14), q
+        assert eig.matrix.tobytes() == before.tobytes(), q
+    for seed in range(4):
+        state = build_steady_state(eig, 2, "random", seed)
+        assert np.allclose(np.abs(h @ state.states), np.abs(state.states * state.energies), atol=1e-14)
+        assert eig.matrix.tobytes() == before.tobytes(), seed
     monkeypatch.setattr(spectral, "MAX_SHIFT_NUDGES", 0)
     with pytest.raises(np.linalg.LinAlgError):
         build_steady_state(eig, 1, "lowest", 0)
+    assert eig.matrix.tobytes() == before.tobytes()
+
+
+def test_eig_copies_only_what_it_may_not_shift():
+    _, _, h = _random_instance(seed=5)
+    assert eig_hermitian(h).matrix is h
+    frozen = h.copy()
+    frozen.flags.writeable = False
+    for a, dtype in [(frozen, complex), (np.diag([1, 2, 3]), float), (h.astype(np.complex64), complex)]:
+        matrix = eig_hermitian(a).matrix
+        assert matrix is not a and matrix.flags.writeable and matrix.dtype == dtype
+        assert np.array_equal(matrix, a)
 
 
 def test_eig_rejects_bad_input():

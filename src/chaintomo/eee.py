@@ -62,10 +62,11 @@ def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) 
     ``hoe.recover`` with the leading ``n_params`` columns as the coefficient
     block, after checking that both blocks are non-empty. With q = columns
     - ``n_params``, Q is read as q row blocks of equal height, one per mixed
-    state; where ``hoe.state_blocks_reduce`` holds for them, each is
-    reduced to its QR R factor first and the stacked factors are recovered
-    from. That is the matrix ``hoe.constraint_matrices(..., by_state=True)``
-    returns in place of Q, so both give the same report bit for bit.
+    state; where ``hoe.state_blocks_reduce`` holds for them (q >= 2, each
+    at least twice as tall as wide), each is reduced to its QR R factor
+    first and the stacked factors are recovered from: the matrix
+    ``hoe.constraint_matrices(..., by_state=True)`` returns in place of Q,
+    so both give the same report bit for bit.
     """
     if np.ndim(qmat) == 2:  # any other shape is rejected by hoe.recover
         n_rows, n_cols = np.shape(qmat)
@@ -73,9 +74,8 @@ def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) 
             raise ValueError(f"n_params={n_params} incompatible with {n_cols} columns")
         q = n_cols - n_params
         height = n_rows // q
-        if height * q == n_rows and hoe.state_blocks_reduce(height, n_cols):
-            qmat = np.concatenate([np.linalg.qr(qmat[mu * height : (mu + 1) * height], mode="r")
-                                   for mu in range(q)])
+        if height * q == n_rows and hoe.state_blocks_reduce(height, n_cols, q):
+            qmat = np.concatenate([np.linalg.qr(block, mode="r") for block in np.split(qmat, q)])
     return hoe.recover(qmat, tol_rel, n_params)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import TermBasis
-from .pauli import PauliString, row_action, string_masks
+from .pauli import PauliString, row_action
 from .spectral import SteadyState
 
 DEFAULT_RANK_TOL = 1e-10
@@ -32,13 +32,9 @@ GATHER_ROWS = 32
 # rows of R per diagonal block of the blocked triangular solves
 SOLVE_BLOCK = 64
 
-# rows per column from which a matrix's R factor is taken from its two row
-# halves (see _r_factor)
-TSQR_ASPECT = 8
-
 # rows per column from which each mixed state's row block of the joint
 # matrix is reduced to its own R factor (see state_blocks_reduce)
-STATE_R_ASPECT = 4
+STATE_R_ASPECT = 2
 
 
 class DegenerateRecoveryError(RuntimeError):
@@ -78,15 +74,14 @@ def constraint_matrices(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Both routes' constraint matrices ``(G, Q)`` from one pass over the states.
 
-    Each matrix is None unless its route ("hoe" or "eee") is in ``methods``.
-    The terms' bit masks are computed once per pass, and each mixed state's
+    Each matrix is None unless its route ("hoe" or "eee", and no other) is
+    in ``methods``. With the terms' ``TermBasis.masks``, each mixed state's
     amplitudes A_mu = (h_n|psi_mu>)_n are gathered once, GATHER_ROWS rows at
     a time, each chunk's sources and phases taken from the masks by
     ``pauli.row_action`` (the rule of ``pauli.action_table``, whose (2**L, N)
     table is never formed), straight into the mu-th row block of the
-    Fortran-ordered Q:
-    Re A_mu over Im A_mu (see eee.constraint_matrix for the layout). G is
-    read off the same block, with X_mu = (Re A_mu)^T (Im A_mu):
+    Fortran-ordered Q, Re A_mu over Im A_mu (see eee.constraint_matrix for
+    the layout). G is read off the same block, with X_mu = (Re A_mu)^T (Im A_mu):
 
         G = -2 sum_mu p_mu (X_mu - X_mu^T),
 
@@ -95,20 +90,21 @@ def constraint_matrices(
     share one real block of the same column order, so G is bit-identical
     whichever routes run.
 
-    With ``by_state``, where a state's block is at least STATE_R_ASPECT
-    times taller than wide (see ``state_blocks_reduce``), each block is
-    reduced to its QR R factor as soon as it is gathered, and the Q
-    returned is the stack of those q factors, (N + q) rows each: the
-    matrix ``eee.recover`` factors when given the whole Q, bit for bit.
-    The tall Q is then never formed.
+    With ``by_state``, where ``state_blocks_reduce`` holds (q >= 2 and
+    blocks at least twice as tall as wide), each block is reduced to its
+    QR R factor as it is gathered, and the Q returned is the stack of the
+    q factors, (N + q) rows each, which ``eee.recover`` factors when given
+    the whole Q, bit for bit: the tall Q is never formed.
     """
+    if not methods or not set(methods) <= {"hoe", "eee"}:
+        raise ValueError(f"methods must name one or both of 'hoe' and 'eee', got {methods!r}")
     if not isinstance(state, SteadyState):
         raise TypeError(f"expected a SteadyState, got {type(state).__name__}")
     if state.dim != basis.dim:
         raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
     dim, n, q = basis.dim, basis.n_params, state.q
     with_q = "eee" in methods
-    by_state = by_state and with_q and state_blocks_reduce(2 * dim, n + q)
+    by_state = by_state and with_q and state_blocks_reduce(2 * dim, n + q, q)
     whole_q = with_q and not by_state
     if by_state:
         qmat, block = np.empty((q * (n + q), n + q)), np.empty((2 * dim, n + q), order="F")
@@ -116,7 +112,7 @@ def constraint_matrices(
         qmat, block = np.zeros((2 * dim * q, n + q), order="F"), None
     else:
         qmat, block = None, np.empty((2 * dim, n), order="F")
-    masks = string_masks(basis.terms, basis.L)
+    masks = basis.masks
     rows = np.arange(dim, dtype=np.int32)
     chunk_buf = np.empty((min(GATHER_ROWS, dim), n), dtype=complex)
     psis = [np.ascontiguousarray(state.states[:, mu], dtype=complex) for mu in range(q)]
@@ -185,36 +181,29 @@ def constraint_matrix(
     return constraint_matrices(union, state, ("hoe",))[0][:m, m:]
 
 
-def state_blocks_reduce(block_rows: int, n_cols: int) -> bool:
-    """Whether the joint route reduces each state's row block of Q, of
-    ``block_rows`` rows and ``n_cols`` columns, to its R factor on its own.
+def state_blocks_reduce(block_rows: int, n_cols: int, q: int) -> bool:
+    """Whether the joint route reduces each of the q state row blocks of Q,
+    of ``block_rows`` rows and ``n_cols`` columns, to its R factor on its own.
 
-    It does where the block is at least STATE_R_ASPECT times taller than
-    wide: the q stacked R factors, N + q rows each, then stand in for Q,
-    for at most about 1/6 more QR flops than one QR of Q. Less tall blocks
-    would cost more (about 40% more at h3table L = 8-9, q = 3), so there
-    Q is factored whole.
+    It does at q >= 2 where each block is at least STATE_R_ASPECT times
+    taller than wide: the q stacked (N + q)-row R factors stand in for Q
+    (one TSQR step, arXiv:0808.2664), and np.linalg.qr's copy of its input
+    is one block, not Q, for at most 2 / (3 STATE_R_ASPECT) more flops than
+    one QR of Q. At q = 1 the one block is Q.
     """
-    return block_rows >= STATE_R_ASPECT * n_cols
+    return q >= 2 and block_rows >= STATE_R_ASPECT * n_cols
 
 
 def _r_factor(m: np.ndarray) -> np.ndarray:
     """The QR R factor of m, min(rows, columns) by columns, never the Q.
 
     A matrix at least two rows short of square is returned as it is: it
-    has the same singular values and right-singular vectors as its R. One
-    at least TSQR_ASPECT times taller than wide is factored as two row
-    halves, and R is the R of their two stacked R factors: np.linalg.qr
-    holds two copies of its input, so this halves the transient memory of
-    the tallest joint matrices, for at most 4/(3 TSQR_ASPECT) more flops.
+    has the same singular values and right-singular vectors as its R.
     """
     m = np.atleast_2d(np.asarray(m))
     n_rows, n_cols = m.shape
     if n_rows < n_cols - 1:
         return m
-    if n_rows >= TSQR_ASPECT * n_cols:
-        half = n_rows // 2
-        m = np.concatenate([np.linalg.qr(m[:half], mode="r"), np.linalg.qr(m[half:], mode="r")])
     return np.linalg.qr(m, mode="r")
 
 

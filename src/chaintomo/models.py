@@ -68,6 +68,14 @@ class TermBasis:
     L: int
     terms: tuple[PauliString, ...]
 
+    @functools.cached_property
+    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms' ``pauli.string_masks``, read-only, computed when first read."""
+        masks = string_masks(self.terms, self.L)
+        for mask in masks:
+            mask.flags.writeable = False
+        return masks
+
     @property
     def n_params(self) -> int:
         return len(self.terms)
@@ -133,7 +141,7 @@ def assemble(basis: TermBasis, coeffs: np.ndarray) -> np.ndarray:
     """Dense Hamiltonian sum_n coeffs[n] * term_n as a 2**L square matrix.
 
     Each term is a signed permutation matrix that sends row i to column
-    i ^ flip, flip marking its X and Y sites (see ``pauli.string_masks``).
+    i ^ flip, flip marking its X and Y sites (see ``TermBasis.masks``).
     The terms of one flip share their entries, so each flip group sums its
     terms, in term order, into one row vector of length 2**L, each term's
     signs read off its sign mask, and H takes the vector in one indexed
@@ -144,7 +152,7 @@ def assemble(basis: TermBasis, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.n_params,):
         raise ValueError(f"expected {basis.n_params} coefficients, got shape {coeffs.shape}")
-    flip, sign, n_y = string_masks(basis.terms, basis.L)
+    flip, sign, n_y = basis.masks
     values = np.array([1, 1j, -1, -1j])[n_y % 4] * coeffs  # i**n_y * a_n, exact
     rows = np.arange(basis.dim, dtype=np.int32)
     h = np.zeros((basis.dim, basis.dim), dtype=complex)

@@ -452,13 +452,14 @@ def test_recover_instance_report():
     assert recover_instance("h2", 3, 2, seed=0) == result
 
 
-@pytest.mark.parametrize("model,L,q,by_state", [("h2", 8, 3, True), ("h3table", 7, 3, False)])
+@pytest.mark.parametrize("model,L,q,by_state", [("h2", 8, 3, True), ("h3table", 7, 3, False), ("h3table", 9, 3, True),
+                                                ("h3table", 9, 2, True), ("h2", 8, 1, False)])
 def test_routes_match_the_public_builders_bit_for_bit(model, L, q, by_state):
     # perfbench's traced replica recovers from the public builders' G and
     # whole Q, where a sweep trial makes one pass and, at tall state blocks,
     # never forms Q: the reports must not differ in a single bit
     basis, _, state, _ = harness.draw_instance(model, L, q, 1, 0, "lowest")
-    assert hoe.state_blocks_reduce(2 * basis.dim, basis.n_params + q) == by_state
+    assert hoe.state_blocks_reduce(2 * basis.dim, basis.n_params + q, q) == by_state
     reports, _ = harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL)
     public = {"hoe": hoe.recover(hoe.constraint_matrix(basis, state)),
               "eee": eee.recover(eee.constraint_matrix(basis, state), basis.n_params)}
@@ -482,6 +483,16 @@ def test_routes_at_tall_state_blocks_never_hold_the_joint_matrix():
     finally:
         tracemalloc.stop()
     assert peak < whole_q, peak / whole_q
+
+
+def test_routes_factor_no_more_than_one_state_block(monkeypatch):
+    # at h3table L=9 q=2 each state's block is 2.9 times taller than wide:
+    # the routes reduce it on its own and never factor the 2048-row Q
+    basis, _, state, _ = harness.draw_instance("h3table", 9, 2, 1, 0, "lowest")
+    rows, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda m, *args, **kw: rows.append(m.shape[0]) or qr(m, *args, **kw))
+    harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL)
+    assert rows and max(rows) <= 2 * basis.dim, rows
 
 
 def test_recover_instance_single_method():

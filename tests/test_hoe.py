@@ -70,8 +70,10 @@ def test_entries_match_expectation_oracle():
 
 
 def test_custom_observables_take_one_table(monkeypatch):
-    # observables and terms share one pass: one mask computation for all q
-    # states, no (2**L, N) action table and no per-state amplitude gather
+    # observables and terms share one pass: the union basis computes its
+    # masks once for all q states, the model's basis reuses the masks
+    # assemble already read, and there is no (2**L, N) action table and no
+    # per-state amplitude gather
     basis, _, _, state = _instance("h2", 3, 3, seed=11)
     masks, tables, gathers = [], [], []
 
@@ -82,7 +84,7 @@ def test_custom_observables_take_one_table(monkeypatch):
     def counting(calls, f):
         return lambda *args: calls.append(args) or f(*args)
 
-    monkeypatch.setattr(hoe, "string_masks", counting_masks)
+    monkeypatch.setattr(models, "string_masks", counting_masks)
     monkeypatch.setattr(pauli, "action_table", counting(tables, action_table))
     monkeypatch.setattr(hoe, "action_table", counting(tables, action_table), raising=False)
     monkeypatch.setattr(models, "term_amplitudes", counting(gathers, term_amplitudes))
@@ -90,8 +92,19 @@ def test_custom_observables_take_one_table(monkeypatch):
     g = constraint_matrix(basis, state, observables=["XYX", "ZIZ"])
     assert g.shape == (2, basis.n_params)
     assert masks == [2 + basis.n_params]
+    constraint_matrices(basis, state)
+    assert masks == [2 + basis.n_params]
     assert tables == []
     assert gathers == []
+
+
+def test_pass_rejects_unknown_or_no_methods():
+    # an empty or misspelt route list once ran a whole gather pass and
+    # returned (None, None)
+    basis, _, _, state = _instance("h2", 3, 2, seed=11)
+    for methods in [(), ("HOE",), ("hoe", "joint"), ("G",)]:
+        with pytest.raises(ValueError, match="methods"):
+            constraint_matrices(basis, state, methods)
 
 
 def test_diagonal_vanishes():
@@ -119,19 +132,20 @@ def test_matrices_are_bit_identical_across_route_subsets():
 
 
 def test_pass_memory_stays_within_its_arrays():
-    # traced peak of one pass at h3table q=3: its outputs, X and its running
+    # traced peak of one pass at h3table: its outputs, X and its running
     # sum, and 1 MB for a chunk's sources, phases and gather buffer; neither
     # the (2**L, N) action table (2.2 MB at L=9) nor a full complex amplitude
-    # array (2.9 MB) would fit. At L=10 the joint route reduces each state's
-    # block as it is gathered: it holds the stacked R factors, one block,
-    # the copy np.linalg.qr takes of it and the R it returns
-    for L in (9, 10):
-        basis, _, _, state = _instance("h3table", L, 3, seed=3)
-        dim, n, q = basis.dim, basis.n_params, state.q
+    # array (2.9 MB) would fit. At q >= 2 the joint route reduces each
+    # state's block as it is gathered: it holds the stacked R factors, one
+    # block, the copy np.linalg.qr takes of it and the R it returns; at q=1
+    # the one block is Q
+    for L, q in [(9, 1), (9, 3), (10, 3)]:
+        basis, _, _, state = _instance("h3table", L, q, seed=3)
+        dim, n = basis.dim, basis.n_params
         products = 2 * n * n * 8
         block, r_factor = 2 * dim * (n + q) * 8, (n + q) ** 2 * 8
-        by_state = hoe.state_blocks_reduce(2 * dim, n + q)
-        assert by_state == (L == 10)
+        by_state = hoe.state_blocks_reduce(2 * dim, n + q, q)
+        assert by_state == (q > 1)
         joint = q * r_factor + 2 * block + r_factor if by_state else q * block
         for methods, held in [(("hoe", "eee"), joint), (("hoe",), 2 * dim * n * 8)]:
             tracemalloc.start()

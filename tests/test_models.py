@@ -1,5 +1,6 @@
 """Model families: term enumeration order, counts, sampling, assembly."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -16,7 +17,7 @@ from chaintomo.models import (
     sample_params,
     term_amplitudes,
 )
-from chaintomo.pauli import action_table, string_matrix
+from chaintomo.pauli import action_table, string_masks, string_matrix
 
 from reference_grids import (
     H2_PARAM_COUNT,
@@ -67,6 +68,19 @@ def test_enumerate_terms_is_memoized():
     first = enumerate_terms("h3table", 4)
     assert enumerate_terms("h3table", 4) is first
     assert enumerate_terms.__wrapped__("h3table", 4) == first  # same terms, same order
+
+
+def test_masks_are_computed_once_per_basis():
+    # every trial of a cell shares the memoized basis and with it the
+    # terms' masks, read-only; a replaced basis computes its own
+    basis = enumerate_terms("h2", 4)
+    assert basis.masks is enumerate_terms("h2", 4).masks
+    for got, expected in zip(basis.masks, string_masks(basis.terms, basis.L)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert not got.flags.writeable
+    union = dataclasses.replace(basis, terms=basis.terms[:3])
+    assert [m.shape for m in union.masks] == [(3,)] * 3
+    assert np.array_equal(union.masks[0], basis.masks[0][:3])
 
 
 def test_param_count_matches_enumeration():

@@ -496,13 +496,15 @@ TABLES = {1: ("h2", "hoe"), 2: ("h3table", "hoe"), 3: ("h2", "eee"), 4: ("h3tabl
 FIGURES = {1: "hoe", 2: "eee"}
 
 
-def _report_cells(results: list[AggregateRow], model: str, method: str) -> dict[tuple[int, int], AggregateRow]:
-    """A model's rows of one method on its report grid, keyed by (L, q)."""
+def _report_grid(results: list[AggregateRow] | None, model: str, method: str) -> list[tuple[int, list[AggregateRow]]]:
+    """A model's rows of one method on its report grid: (L, rows in REPORT_QS order) for each L."""
+    if results is None:
+        raise IncompleteGridError(f"model={model} method={method} needs experiment results")
     index = {(row.L, row.q): row for row in results if row.model == model and row.method == method}
     missing = [(L, q) for L in REPORT_GRIDS[model] for q in REPORT_QS if (L, q) not in index]
     if missing:
         raise IncompleteGridError(f"results missing cells for model={model} method={method}: {missing}")
-    return index
+    return [(L, [index[L, q] for q in REPORT_QS]) for L in REPORT_GRIDS[model]]
 
 
 def _format_text_table(header: list[str], body: list[list[str]]) -> str:
@@ -534,19 +536,16 @@ def render_table(which: int, results: list[AggregateRow] | None = None) -> tuple
         return _format_text_table(header, body), _csv_text(header, body)
     if which not in TABLES:
         raise ValueError(f"no such table: {which}")
-    if results is None:
-        raise IncompleteGridError(f"table {which} needs experiment results")
     model, method = TABLES[which]
-    index = _report_cells(results, model, method)
     joint = method == "eee"
     names = ("n_unknowns", "r_prime", "gap_prime") if joint else ("r", "gap")
     header = ["L"] + ([] if joint else ["N"]) + [f"{name}_q{q}" for q in REPORT_QS for name in names]
     body = []
-    for L in REPORT_GRIDS[model]:
+    for L, cells in _report_grid(results, model, method):
         n = models.param_count(model, L)
         row = [L] if joint else [L, n]
-        for q in REPORT_QS:
-            rank = index[(L, q)].rank_mode
+        for q, cell in zip(REPORT_QS, cells):
+            rank = cell.rank_mode
             row += [n + q, rank, n + q - 1 - rank] if joint else [rank, n - 1 - rank]
         body.append([str(v) for v in row])
     return _format_text_table(header, body), _csv_text(header, body)
@@ -567,15 +566,12 @@ def emit_figure_data(which: int, results: list[AggregateRow], out_dir) -> list[P
     if which not in FIGURES:
         raise ValueError(f"no such figure: {which}")
     paths = _figure_files(which, out_dir)
-    for model, lengths in REPORT_GRIDS.items():
-        index = _report_cells(results, model, FIGURES[which])
-        for q in REPORT_QS:
-            header = ["L", "median_delta", "lower_dev", "upper_dev"]
-            body = []
-            for L in lengths:
-                row = index[(L, q)]
-                body.append([str(L), repr(row.median_delta), repr(row.lower_dev), repr(row.upper_dev)])
-            paths[model, q].write_text(_csv_text(header, body))
+    for model in REPORT_GRIDS:
+        grid = _report_grid(results, model, FIGURES[which])
+        for i, q in enumerate(REPORT_QS):
+            series = [cells[i] for _, cells in grid]
+            body = [[str(row.L), repr(row.median_delta), repr(row.lower_dev), repr(row.upper_dev)] for row in series]
+            paths[model, q].write_text(_csv_text(["L", "median_delta", "lower_dev", "upper_dev"], body))
     return list(paths.values())
 
 

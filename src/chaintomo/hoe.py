@@ -105,46 +105,38 @@ def constraint_matrices(
     dim, n, q = basis.dim, basis.n_params, state.q
     with_q = "eee" in methods
     by_state = by_state and with_q and state_blocks_reduce(2 * dim, n + q, q)
-    whole_q = with_q and not by_state
     if by_state:
         qmat, block = np.empty((q * (n + q), n + q)), np.empty((2 * dim, n + q), order="F")
     elif with_q:
         qmat, block = np.zeros((2 * dim * q, n + q), order="F"), None
     else:
         qmat, block = None, np.empty((2 * dim, n), order="F")
-    masks = basis.masks
     rows = np.arange(dim, dtype=np.int32)
     chunk_buf = np.empty((min(GATHER_ROWS, dim), n), dtype=complex)
-    psis = [np.ascontiguousarray(state.states[:, mu], dtype=complex) for mu in range(q)]
     with_g = "hoe" in methods
     if with_g:
         acc, x = np.zeros((n, n)), np.empty((n, n))
-    # a whole Q holds every state's block at once, so there each chunk's
-    # sources and phases serve all q states; otherwise the states share one
-    # block and are gathered one after another
-    for group in [range(q)] if whole_q else [[mu] for mu in range(q)]:
-        blocks = [qmat[2 * dim * mu : 2 * dim * (mu + 1)] if whole_q else block for mu in group]
-        for mu, b in zip(group, blocks):
-            if by_state:
-                b[:, n:] = 0.0
-            if with_q:
-                b[:dim, n + mu] = -psis[mu].real
-                b[dim:, n + mu] = -psis[mu].imag
+    for mu in range(q):
+        b = qmat[2 * dim * mu : 2 * dim * (mu + 1)] if block is None else block
+        psi = np.ascontiguousarray(state.states[:, mu], dtype=complex)
+        if by_state:
+            b[:, n:] = 0.0
+        if with_q:
+            b[:dim, n + mu] = -psi.real
+            b[dim:, n + mu] = -psi.imag
         for r in range(0, dim, GATHER_ROWS):
             e = min(r + GATHER_ROWS, dim)
-            src, phase = row_action(masks, rows[r:e])
-            for mu, b in zip(group, blocks):
-                chunk = np.take(psis[mu], src, out=chunk_buf[: e - r], mode="clip")
-                chunk *= phase
-                b[r:e, :n] = chunk.real
-                b[dim + r : dim + e, :n] = chunk.imag
-        for mu, b in zip(group, blocks):
-            if with_g:
-                np.matmul(b[:dim, :n].T, b[dim:, :n], out=x)
-                x *= state.probs[mu]
-                acc += x
-            if by_state:
-                qmat[mu * (n + q) : (mu + 1) * (n + q)] = np.linalg.qr(b, mode="r")
+            src, phase = row_action(basis.masks, rows[r:e])
+            chunk = np.take(psi, src, out=chunk_buf[: e - r], mode="clip")
+            chunk *= phase
+            b[r:e, :n] = chunk.real
+            b[dim + r : dim + e, :n] = chunk.imag
+        if with_g:
+            np.matmul(b[:dim, :n].T, b[dim:, :n], out=x)
+            x *= state.probs[mu]
+            acc += x
+        if by_state:
+            qmat[mu * (n + q) : (mu + 1) * (n + q)] = np.linalg.qr(b, mode="r")
     if not with_g:
         return None, qmat
     g = np.subtract(acc, acc.T, out=x)

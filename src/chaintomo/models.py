@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, action_table, string_masks
+from .pauli import PauliString, row_action, string_masks
 
 FAMILIES = {
     "h2": ((0,), (0, 1)),
@@ -123,15 +123,15 @@ def term_amplitudes(basis: TermBasis, psi: np.ndarray) -> np.ndarray:
     """Matrix whose n-th column is term_n applied to the state psi.
 
     Shape (2**L, N): one gather through the terms' action table, built
-    for this call. Both recovery routes are linear in these amplitudes,
-    but neither calls this: ``hoe.constraint_matrices`` gathers them
-    itself, row chunk by row chunk from one set of masks for all mixed
-    states, custom observables included.
+    for this call by ``pauli.row_action`` from the basis's ``masks``. Both
+    recovery routes are linear in these amplitudes, but neither calls
+    this: ``hoe.constraint_matrices`` gathers them itself, row chunk by
+    row chunk and state by state, custom observables included.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.dim,):
         raise ValueError(f"expected state of dimension {basis.dim}, got shape {psi.shape}")
-    src, phase = action_table(basis.terms, basis.L)
+    src, phase = row_action(basis.masks, np.arange(basis.dim, dtype=np.int32))
     amps = psi[src]
     amps *= phase  # in place: one (2**L, N) complex array fewer
     return amps

@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, output, exit codes."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -275,7 +276,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
 def test_readme_command_lines_parse():
     block = README.read_text().split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
-    lines = [line for line in block.splitlines() if line.startswith("chaintomo ")]
+    # a command line may set environment variables before the command
+    lines = [re.sub(r"^(\w+=\S* )+", "", line) for line in block.splitlines()]
+    lines = [line for line in lines if line.startswith("chaintomo ")]
     assert len(lines) == 7
     parser = cli.build_parser()
     for line in lines:

@@ -421,6 +421,8 @@ def test_emit_figure_data(tmp_path):
         emit_figure_data(3, rows, tmp_path)
     with pytest.raises(IncompleteGridError):
         emit_figure_data(2, rows, tmp_path)  # rows carry no eee results
+    with pytest.raises(IncompleteGridError):
+        emit_figure_data(1, None, tmp_path)
 
 
 def test_reproduce_analytic_table(tmp_path):

@@ -135,17 +135,17 @@ def test_pass_memory_stays_within_its_arrays():
     # traced peak of one pass at h3table: its outputs, X and its running
     # sum, and 1 MB for a chunk's sources, phases and gather buffer; neither
     # the (2**L, N) action table (2.2 MB at L=9) nor a full complex amplitude
-    # array (2.9 MB) would fit. At q >= 2 the joint route reduces each
-    # state's block as it is gathered: it holds the stacked R factors, one
-    # block, the copy np.linalg.qr takes of it and the R it returns; at q=1
-    # the one block is Q
-    for L, q in [(9, 1), (9, 3), (10, 3)]:
+    # array (2.9 MB) would fit. Where state_blocks_reduce holds, the joint
+    # route reduces each state's block as it is gathered: it holds the
+    # stacked R factors, one block, the copy np.linalg.qr takes of it and
+    # the R it returns. Elsewhere Q is formed whole: at q=1 the one block
+    # is Q, and at L=8 q=3 the three blocks are under aspect 2
+    for L, q, by_state in [(9, 1, False), (8, 3, False), (9, 3, True), (10, 3, True)]:
         basis, _, _, state = _instance("h3table", L, q, seed=3)
         dim, n = basis.dim, basis.n_params
         products = 2 * n * n * 8
         block, r_factor = 2 * dim * (n + q) * 8, (n + q) ** 2 * 8
-        by_state = hoe.state_blocks_reduce(2 * dim, n + q, q)
-        assert by_state == (q > 1)
+        assert hoe.state_blocks_reduce(2 * dim, n + q, q) == by_state
         joint = q * r_factor + 2 * block + r_factor if by_state else q * block
         for methods, held in [(("hoe", "eee"), joint), (("hoe",), 2 * dim * n * 8)]:
             tracemalloc.start()

@@ -41,10 +41,34 @@ KRYLOV_CHECK_STEPS = 10
 # per strip of the certificate's factorization (``_certificate_factor``)
 HERMITIAN_CHECK_ROWS = 128
 
+# share of its entries up to which ``eig_hermitian`` keeps a matrix's
+# nonzeros for the Lanczos products: h2 from L = 8, h3table from L = 9
+NONZERO_SHARE = 1 / 16
+
 
 class DegenerateSpectrumError(RuntimeError):
     """Selected eigenstates are too close in energy, or their drawn
     probabilities too close to each other, to mix reliably."""
+
+
+@dataclass(frozen=True)
+class _RowNonzeros:
+    """A matrix's nonzeros and diagonal, so that no row is empty, in row
+    order: int32 columns, values and row starts (compressed sparse rows; Saad,
+    Numerical Methods for Large Eigenvalue Problems, 2nd ed., 2011)."""
+
+    columns: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+    shape = property(lambda self: (self.starts.size - 1,) * 2)
+    dtype = property(lambda self: self.values.dtype)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 2:  # column by column: one nnz-long temporary at a time
+            return np.stack([self @ col for col in x.T], axis=1)
+        terms = np.take(x, self.columns).astype(np.result_type(x, self.dtype), copy=False)
+        terms *= self.values
+        return np.add.reduceat(terms, self.starts[:-1])
 
 
 @dataclass(frozen=True)
@@ -59,6 +83,7 @@ class EigDecomposition:
     """
 
     matrix: np.ndarray
+    nonzeros: _RowNonzeros | None = None  # a copy, where at most NONZERO_SHARE of the entries
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -83,7 +108,8 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
 
     Raises ValueError when the input is not square, has a non-finite
     entry, or departs from Hermiticity by more than 1e-12 relative to its
-    largest entry.
+    largest entry. The check makes one pass over row strips and compares
+    each nonzero with its mirror entry, as two zeros cannot depart.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
@@ -91,21 +117,27 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     dtype = np.result_type(h.dtype, float)
     if h.dtype != dtype or not h.flags.writeable:
         h = h.astype(dtype)
-    # row strip i:e right of the diagonal against the column strip below it,
-    # so every entry pair is compared once and no dim x dim temporary is formed
-    asym = scale = 0.0
+    asym, scale, nnz, kept = 0.0, 0.0, 0, []
     for i in range(0, h.shape[0], HERMITIAN_CHECK_ROWS):
-        e = i + HERMITIAN_CHECK_ROWS
-        upper, lower = h[i:e, i:], h[i:, i:e]
+        strip = h[i : i + HERMITIAN_CHECK_ROWS]
+        mask = strip != 0
+        mask.flat[i :: h.shape[1] + 1] = True  # the diagonal, zero or not
+        rows, cols = np.divmod(np.flatnonzero(mask), h.shape[1])  # 5x np.nonzero(mask)'s speed
+        vals = strip[rows, cols]
         # np.max keeps a NaN where Python's max would drop it
-        peaks = [float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))]
-        if not np.all(np.isfinite(peaks)):
+        peak = float(np.max(np.abs(vals), initial=0.0))
+        if not np.isfinite(peak):
             raise ValueError("matrix has a non-finite entry")
-        scale = max(scale, *peaks)
-        asym = max(asym, float(np.max(np.abs(upper - lower.conj().T))))
+        scale = max(scale, peak)
+        asym = max(asym, float(np.max(np.abs(vals - h[cols, rows + i].conj()), initial=0.0)))
+        if (nnz := nnz + vals.size) <= NONZERO_SHARE * h.size:
+            kept.append((cols.astype(np.int32), vals, np.bincount(rows, minlength=strip.shape[0])))
     if asym > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return EigDecomposition(matrix=h)
+    if nnz > NONZERO_SHARE * h.size:
+        return EigDecomposition(h)
+    cols, vals, counts = (np.concatenate(part) for part in zip(*kept))
+    return EigDecomposition(h, _RowNonzeros(cols, vals, np.concatenate([[0], np.cumsum(counts)])))
 
 
 @dataclass(frozen=True)
@@ -266,30 +298,31 @@ def _certificate_factor(h: np.ndarray, x: np.ndarray, c: float, s: float) -> lis
     return strips
 
 
-def _krylov_lowest(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The q lowest eigenpairs of ``h`` and its spectral range, or None.
+def _krylov_lowest(eig: EigDecomposition, q: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The q lowest eigenpairs of H = ``eig.matrix`` and its spectral range, or None.
 
-    The pairs come from a Lanczos run and a q x q Rayleigh-Ritz step, and
-    are returned only when a certificate shows that no eigenvalue was
-    missed: with X the q Ritz vectors, theta_q the largest Ritz value and
-    s = theta_q + DEGENERACY_RTOL * range, H + (2 range + 1) XX^H - s I is
-    positive definite, that is Cholesky succeeds, only when H has no
-    eigenvalue at or below s outside the span of X. It is factored in
-    packed strips, each formed from H, X and s when it is reached
+    The pairs come from a Lanczos run and a q x q Rayleigh-Ritz step, both
+    multiplying through ``eig.nonzeros`` where it is kept, and are returned
+    only when a certificate shows that no eigenvalue was missed: with X the
+    q Ritz vectors, theta_q the largest Ritz value and s = theta_q +
+    DEGENERACY_RTOL * range, H + (2 range + 1) XX^H - s I is positive
+    definite, that is Cholesky succeeds, only when H has no eigenvalue at
+    or below s outside the span of X. It is factored in dense packed
+    strips, each formed from H, X and s when it is reached
     (``_certificate_factor``): beside H the certificate holds about half
     a dense matrix, and H is only read. So at h3table L=10 the steady
-    state allocates 8.8 MiB beside H, where a dense working matrix took
-    18.3 and a whole ``np.linalg.cholesky`` 32.1. Returns ``(energies,
-    states, spread)``; None when the run does not converge or the
-    certificate fails.
+    state allocates 8.8 MiB beside H, where a whole ``np.linalg.cholesky``
+    took 32.1. Returns ``(energies, states, spread)``; None when the run
+    does not converge or the certificate fails.
     """
-    run = _lanczos(h, q, h.shape[0])
+    op = eig.nonzeros or eig.matrix
+    run = _lanczos(op, q, eig.dim)
     if run is None:
         return None
     ritz, spread = run
-    energies, states = _rayleigh_ritz(h, ritz)
+    energies, states = _rayleigh_ritz(op, ritz)
     try:
-        _certificate_factor(h, states, 2 * spread + 1, energies[-1] + DEGENERACY_RTOL * spread)
+        _certificate_factor(eig.matrix, states, 2 * spread + 1, energies[-1] + DEGENERACY_RTOL * spread)
     except np.linalg.LinAlgError:
         return None
     return energies, states, spread
@@ -305,8 +338,7 @@ def _draw_probs(q: int, rng: np.random.Generator) -> np.ndarray:
         return np.ones(1)
     for _ in range(1000):
         p = rng.dirichlet(np.ones(q))
-        gaps = np.diff(np.sort(p))
-        if gaps.min() >= MIN_PROB_GAP:
+        if np.diff(np.sort(p)).min() >= MIN_PROB_GAP:
             return p
     raise DegenerateSpectrumError(f"could not draw {q} well-separated probabilities")
 
@@ -335,7 +367,7 @@ def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest",
     if selection not in SELECTION_POLICIES:
         raise ValueError(f"unknown selection policy {selection!r}; expected one of {SELECTION_POLICIES}")
     rng = np.random.default_rng(rng_seed)
-    krylov = _krylov_lowest(eig.matrix, q) if selection == "lowest" and dim >= KRYLOV_MIN_DIM else None
+    krylov = _krylov_lowest(eig, q) if selection == "lowest" and dim >= KRYLOV_MIN_DIM else None
     if krylov is None:
         idx = np.arange(q) if selection == "lowest" else np.sort(rng.choice(dim, size=q, replace=False))
         energies, spread = eig.eigenvalues[idx], eig.spectral_range
@@ -344,9 +376,7 @@ def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest",
     if q > 1:
         gap = float(np.diff(energies).min())
         if gap < DEGENERACY_RTOL * max(spread, np.finfo(float).tiny):
-            raise DegenerateSpectrumError(
-                f"selected eigenvalues nearly degenerate (gap {gap:.3e})"
-            )
+            raise DegenerateSpectrumError(f"selected eigenvalues nearly degenerate (gap {gap:.3e})")
     probs = _draw_probs(q, rng)
     if krylov is None:
         states = _picked_eigenvectors(eig.matrix, eig.eigenvalues, idx)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaintomo import eee, harness, hoe
+from chaintomo import eee, harness, hoe, models, spectral
 from chaintomo.harness import (
     TRIAL_CSV_COLUMNS,
     AggregateRow,
@@ -471,6 +471,21 @@ def test_routes_match_the_public_builders_bit_for_bit(model, L, q, by_state):
         assert (got.rank, got.gap, got.kept, got.dropped) == (expected.rank, expected.gap, expected.kept,
                                                              expected.dropped), method
     assert np.array_equal(reports["eee"].eigenvalues, public["eee"].eigenvalues)
+
+
+@pytest.mark.parametrize("model,L,q", [("h3table", 9, 3), ("h2", 10, 2)])
+def test_draw_instance_matches_the_public_steady_state_bit_for_bit(model, L, q):
+    # perfbench's traced replica draws through eig_hermitian and
+    # build_steady_state on the trial's own seed streams; at these cells H
+    # is kept by its nonzeros, and the states must not differ in a bit
+    basis, a_true, state, retry = harness.draw_instance(model, L, q, 1, 0, "lowest")
+    param_stream, state_stream = trial_seed(1, model, L, q, 0, retry).spawn(2)
+    assert np.array_equal(models.sample_params(basis, param_stream), a_true)
+    eig = spectral.eig_hermitian(models.assemble(basis, a_true))
+    assert eig.nonzeros is not None
+    replica = spectral.build_steady_state(eig, q, "lowest", state_stream)
+    for field in ("states", "energies", "probs"):
+        assert np.array_equal(getattr(state, field), getattr(replica, field)), field
 
 
 def test_routes_at_tall_state_blocks_never_hold_the_joint_matrix():

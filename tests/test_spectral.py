@@ -1,5 +1,6 @@
 """Eigendecomposition and steady-state mixtures."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -319,6 +320,142 @@ def test_hermiticity_check_finds_one_entry_in_any_strip():
             bad[i, j] = value
             with pytest.raises(ValueError, match="non-finite"):
                 eig_hermitian(bad)
+
+
+def _strip_predicate(h):
+    """The Hermiticity check as it was made before nonzeros were read, row
+    strip right of the diagonal against the column strip below it: the
+    message ``eig_hermitian`` must raise, or None."""
+    asym = scale = 0.0
+    for i in range(0, h.shape[0], HERMITIAN_CHECK_ROWS):
+        e = i + HERMITIAN_CHECK_ROWS
+        upper, lower = h[i:e, i:], h[i:, i:e]
+        peaks = [float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))]
+        if not np.all(np.isfinite(peaks)):
+            return "matrix has a non-finite entry"
+        scale = max(scale, *peaks)
+        asym = max(asym, float(np.max(np.abs(upper - lower.conj().T))))
+    if asym > 1e-12 * max(1.0, scale):
+        return "matrix is not Hermitian within tolerance"
+    return None
+
+
+def _check_message(h):
+    try:
+        eig_hermitian(h)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_hermiticity_check_decides_as_the_strip_predicate():
+    # the check reads each nonzero and its mirror entry; the strip predicate
+    # read every entry pair. They must raise alike, with the same message,
+    # on a sparse H (kept by its nonzeros) and on the dense 300-row cases
+    # of the test above, whose last strip has 44 rows
+    _, _, sparse = _random_instance(kind="h3table", L=9, seed=2)
+    assert eig_hermitian(sparse).nonzeros is not None
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    dense = a + a.conj().T
+    assert eig_hermitian(dense).nonzeros is None
+    # entries whose mirror is exactly 0, in the first, a middle and the last strip
+    zeros = [(i, int(np.flatnonzero(sparse[i] == 0)[k])) for i, k in [(0, -1), (300, 0), (511, 5), (130, 200)]]
+    nonzero = [(i, int(np.flatnonzero(sparse[i])[k])) for i, k in [(0, -1), (511, 0), (200, 7)]]
+    cases = [(sparse, ij) for ij in zeros + nonzero]
+    cases += [(dense, ij) for ij in [(290, 10), (10, 290), (150, 150), (299, 260), (270, 299)]]
+    decided = []
+    for h, (i, j) in cases:
+        assert _check_message(h) is _strip_predicate(h) is None
+        scale = np.max(np.abs(h))
+        for change in (1e-13 * scale, 1e-9 * scale, 1e-9j * scale, np.nan, np.inf, -np.inf, complex(0, np.inf)):
+            bad = h.copy()
+            if np.isfinite(change):
+                bad[i, j] += change
+            else:
+                bad[i, j] = change
+            expected = _strip_predicate(bad)
+            assert _check_message(bad) == expected, (h.shape, i, j, change)
+            decided.append(expected)
+    assert {None, "matrix has a non-finite entry", "matrix is not Hermitian within tolerance"} == set(decided)
+
+
+def test_nonzeros_are_kept_up_to_their_share():
+    # NONZERO_SHARE = 1/16 keeps h2 from L=8 and h3table from L=9, in row
+    # order (their diagonals have no zero); h3table at L=8, 11% nonzero,
+    # keeps its dense product
+    for kind, L, kept in [("h3table", 8, False), ("h2", 8, True), ("h3table", 9, True)]:
+        _, _, h = _random_instance(kind=kind, L=L, seed=1)
+        nonzeros = eig_hermitian(h).nonzeros
+        assert (nonzeros is not None) == kept, (kind, L)
+        if kept:
+            rows, cols = np.nonzero(h)
+            assert nonzeros.columns.dtype == np.int32
+            assert np.array_equal(nonzeros.columns, cols)
+            assert np.array_equal(nonzeros.values, h[rows, cols])
+            assert np.array_equal(nonzeros.starts, np.searchsorted(rows, np.arange(h.shape[0] + 1)))
+
+
+@pytest.mark.parametrize("kind", ["h2", "h3table"])
+def test_nonzero_products_pick_the_dense_products_pairs(kind, monkeypatch):
+    # at L=10 q=3 the Lanczos run and the Rayleigh-Ritz step multiply
+    # through H's nonzeros; the pairs agree with those of the dense product
+    # under the bounds of test_failed_certificate_or_run_falls_back_to_dense
+    _, _, h = _random_instance(kind=kind, L=10, seed=3)
+    eig = eig_hermitian(h)
+    operands = []
+    real_lanczos = spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda op, q, steps: operands.append(op) or real_lanczos(op, q, steps))
+    state = build_steady_state(eig, 3, "lowest", 3)
+    expected = build_steady_state(dataclasses.replace(eig, nonzeros=None), 3, "lowest", 3)
+    assert operands[0] is eig.nonzeros and operands[1] is h
+    w = np.linalg.eigvalsh(h)
+    assert np.max(np.abs(state.energies - expected.energies)) <= 1e-12 * np.max(np.abs(w))
+    assert np.max(np.abs(np.abs(expected.states.conj().T @ state.states) - np.eye(3))) <= 1e-10
+    assert np.array_equal(state.probs, expected.probs)
+
+
+def test_nonzero_product_gives_zero_on_an_empty_row():
+    # rows and columns 0, 100 and 255 of a Hermitian H set to zero: each
+    # keeps only its diagonal zero, the product must give 0 there, and the
+    # pick must match the dense one
+    _, _, h = _random_instance(kind="h2", L=8, seed=4)
+    for k in (0, 100, 255):
+        h[k] = h[:, k] = 0
+    eig = eig_hermitian(h)
+    nonzeros = eig.nonzeros
+    empty = nonzeros.starts[[0, 100, 255]]
+    assert (np.diff(nonzeros.starts)[[0, 100, 255]].tolist(), nonzeros.columns[empty].tolist(),
+            nonzeros.values[empty].tolist()) == ([1, 1, 1], [0, 100, 255], [0, 0, 0])
+    rng = np.random.default_rng(6)
+    scale = np.max(np.abs(h)) * h.shape[0]
+    for x in (rng.standard_normal(256), rng.standard_normal(256) + 1j * rng.standard_normal(256),
+              rng.standard_normal((256, 3)) + 1j * rng.standard_normal((256, 3))):
+        y = nonzeros @ x
+        assert y.shape == x.shape
+        assert np.max(np.abs(y - h @ x)) <= 1e-14 * scale * np.max(np.abs(x))
+        assert np.all(y[[0, 100, 255]] == 0)
+    state = build_steady_state(eig, 3, "lowest", 0)
+    expected = build_steady_state(dataclasses.replace(eig, nonzeros=None), 3, "lowest", 0)
+    assert np.max(np.abs(state.energies - expected.energies)) <= 1e-12 * np.max(np.abs(np.linalg.eigvalsh(h)))
+    assert np.max(np.abs(np.abs(expected.states.conj().T @ state.states) - np.eye(3))) <= 1e-10
+
+
+def test_dense_input_keeps_the_dense_product(monkeypatch):
+    # a dense random Hermitian matrix is not kept by its nonzeros, so its
+    # Lanczos run multiplies through the matrix itself
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    h = a + a.conj().T
+    eig = eig_hermitian(h)
+    assert eig.nonzeros is None
+    operands = []
+    real_lanczos = spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda op, q, steps: operands.append(op) or real_lanczos(op, q, steps))
+    state = build_steady_state(eig, 2, "lowest", 0)
+    assert len(operands) == 1 and operands[0] is h
+    assert "eigenvalues" not in vars(eig)  # the Lanczos path, not the dense one
+    assert np.max(np.abs(state.energies - np.linalg.eigvalsh(h)[:2])) <= 1e-12 * np.max(np.abs(h)) * 300
 
 
 def test_pure_state_is_projector():

@@ -32,6 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="log per-cell progress")
     sub = parser.add_subparsers(dest="command", required=True)
+    workers_help = "trial processes; run a pool under OPENBLAS_NUM_THREADS=1, or the workers oversubscribe the cores"
 
     p = sub.add_parser("recover", help="recover one seeded random instance and print the report as JSON")
     _add_instance_args(p)
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="results")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
 
     p = sub.add_parser("run", help="run a sweep described by a JSON config file")
     p.add_argument("--config", required=True)
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--success-threshold", type=float)
     p.add_argument("--methods", nargs="+", choices=harness.METHODS)
     p.add_argument("--out-dir")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help=workers_help)
     return parser
 
 
@@ -88,37 +89,38 @@ def cmd_recover(args) -> int:
 
 
 def cmd_rank_scan(args) -> int:
-    cfg = harness.ExperimentConfig(
-        model=args.model, L_range=(args.L_min, args.L_max), q_list=tuple(args.q),
-        trials=args.trials, seed=args.seed,
-    )
-    # a cell mixes q distinct eigenstates, so it needs q <= 2**L; a scan
-    # skips the cells without them where a sweep rejects the whole grid,
-    # so the grid is validated with q capped at its smallest dimension,
-    # each capped value once, after checking the uncapped q for repeats;
-    # capped at the largest, every q some cell runs is validated as it is
-    if len(set(cfg.q_list)) < len(cfg.q_list):
-        raise harness.ConfigError(f"q_list repeats a value: {cfg.q_list!r}")
-    for lo in (args.L_min, args.L_max):
-        dataclasses.replace(cfg, L_range=(lo, args.L_max),
-                            q_list=tuple(dict.fromkeys(min(q, 2**lo) for q in cfg.q_list))).validate()
-    if all(q > 2**L for L, q in cfg.cells()):
-        raise harness.ConfigError(f"every q in {list(cfg.q_list)} exceeds the Hilbert dimension up to L={args.L_max}")
+    # the range is checked here: a length where no q fits gets no config to check it
+    lengths = range(args.L_min, args.L_max + 1)
+    if not lengths or args.L_min < models.min_length(args.model):
+        raise harness.ConfigError(f"bad L range {args.L_min}..{args.L_max} for model {args.model!r}, "
+                                  f"which needs L >= {models.min_length(args.model)}")
+    # a cell mixes q distinct eigenstates, so it needs q <= 2**L: each length
+    # sweeps the q that fit, and the scan prints the rest as skipped; every
+    # length's config is validated before any trial runs
+    configs = {L: harness.ExperimentConfig(args.model, (L, L), fit, args.trials, args.seed)
+               for L in lengths if (fit := tuple(q for q in args.q if q <= 2**L))}
+    for cfg in configs.values():
+        cfg.validate()
+    if not configs:
+        raise harness.ConfigError(f"every q in {args.q} exceeds the Hilbert dimension up to L={args.L_max}")
     print(f"{'L':>3} {'q':>3} {'N':>5} {'r':>5} {'r_pred':>7} {'r_prime':>8} {'r_prime_pred':>13} {'ok':>4}")
     # the rank field of each route, named alike on TrialRecord and predict_ranks
     fields = [rank_field for _, rank_field, _ in harness.ROUTE_FIELDS.values()]
     all_ok = True
-    for L, q in cfg.cells():
-        if q > 2**L:
-            print(f"{L:>3} {q:>3} skipped: q exceeds the Hilbert dimension {2**L}")
-            continue
-        pred = ranks.predict_ranks(args.model, L, q)
-        records = [harness.run_trial(cfg, args.model, L, q, t) for t in range(args.trials)]
-        measured = {f: sorted({getattr(rec, f) for rec in records if not rec.rejected}) for f in fields}
-        ok = all(measured[f] == [getattr(pred, f)] for f in fields)
-        all_ok &= ok
-        r_text, rp_text = ("/".join(str(v) for v in measured[f]) or "-" for f in fields)
-        print(f"{L:>3} {q:>3} {pred.n_params:>5} {r_text:>5} {pred.r:>7} {rp_text:>8} {pred.r_prime:>13} {'yes' if ok else 'NO':>4}")
+    for L in lengths:
+        records = harness.sweep(configs[L]) if L in configs else None
+        for q in args.q:
+            if q > 2**L:
+                print(f"{L:>3} {q:>3} skipped: q exceeds the Hilbert dimension {2**L}")
+                continue
+            pred = ranks.predict_ranks(args.model, L, q)
+            cell = [next(records) for _ in range(args.trials)]
+            measured = {f: sorted({getattr(rec, f) for rec in cell if not rec.rejected}) for f in fields}
+            ok = all(measured[f] == [getattr(pred, f)] for f in fields)
+            all_ok &= ok
+            r_text, rp_text = ("/".join(str(v) for v in measured[f]) or "-" for f in fields)
+            print(f"{L:>3} {q:>3} {pred.n_params:>5} {r_text:>5} {pred.r:>7} {rp_text:>8} {pred.r_prime:>13} "
+                  f"{'yes' if ok else 'NO':>4}")
     if not all_ok:
         raise harness.NumericalFailureError("measured ranks deviate from the closed form")
     return 0
@@ -133,19 +135,11 @@ def cmd_critical_length(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    options = dict(trials=args.trials, seed=args.seed, out_dir=args.out_dir, workers=args.workers)
     if args.table is not None:
-        text, _ = harness.reproduce_table(
-            args.table, trials=args.trials, seed=args.seed,
-            out_dir=args.out_dir, workers=args.workers,
-        )
-        print(text, end="")
+        print(harness.reproduce_table(args.table, **options)[0], end="")
     else:
-        paths = harness.reproduce_figure(
-            args.figure, trials=args.trials, seed=args.seed,
-            out_dir=args.out_dir, workers=args.workers,
-        )
-        for path in paths:
-            print(path)
+        print(*harness.reproduce_figure(args.figure, **options), sep="\n")
     return 0
 
 

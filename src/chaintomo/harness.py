@@ -20,8 +20,10 @@ import logging
 import os
 import time
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +83,8 @@ class ExperimentConfig:
 
     ``L_range`` is inclusive on both ends. ``methods`` selects which
     recovery routes run per trial. ``workers`` > 1 distributes trials
-    over a process pool without changing any result.
+    over a process pool without changing any result under one BLAS
+    setting.
     """
 
     model: str
@@ -326,8 +329,28 @@ def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: in
                        rejected=state is None, wall_time_s=time.perf_counter() - t0)
 
 
-def _trial_task(args) -> TrialRecord:
-    return run_trial(*args)
+def sweep(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
+    """Run the grid's trials and yield each record as it finishes, in grid order.
+
+    Trials run through ``map``, or through the ordered map of a process pool
+    when ``cfg.workers`` > 1; nothing else differs between the two. Each
+    cell is logged as its first trial is asked for.
+    """
+    cfg.validate()
+    tasks = [(L, q, t) for L, q in cfg.cells() for t in range(cfg.trials)]
+    if cfg.workers > 1:
+        # imported only here: the pool's modules, multiprocessing among them,
+        # add 1.9 MB to the peak RSS and 16 ms once numpy is loaded, which a
+        # serial sweep or a recover_instance call would pay for nothing
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+        args = (repeat(cfg), repeat(cfg.model), *zip(*tasks))
+        results = map(run_trial, *args) if pool is None else pool.map(
+            run_trial, *args, chunksize=max(1, len(tasks) // (cfg.workers * 8)))
+        for L, q in cfg.cells():
+            log.info("running model=%s L=%d q=%d (%d trials)", cfg.model, L, q, cfg.trials)
+            for _ in range(cfg.trials):
+                yield next(results)
 
 
 def aggregate(records: list[TrialRecord], methods: tuple[str, ...], success_threshold: float) -> list[AggregateRow]:
@@ -389,22 +412,16 @@ def write_aggregate_json(path, rows: list[AggregateRow]) -> None:
     Path(path).write_text(json.dumps([asdict(row) for row in rows], indent=2) + "\n")
 
 
-def _output_dir(path) -> Path:
-    """``path`` as a directory, created with its parents if missing;
-    ConfigError when it cannot be."""
-    out = Path(path)
+def _output_files(out_dir, *names: str) -> list[Path]:
+    """The files ``names`` under ``out_dir``, which is created with its
+    parents if missing; ConfigError when it cannot be or a directory takes
+    the path of a file, so that a run fails before its first trial, not at
+    its first write."""
+    out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
-def _output_files(out_dir, *names: str) -> list[Path]:
-    """The files ``names`` under ``out_dir``, created as by ``_output_dir``;
-    ConfigError when a directory takes the path of one, so that a run
-    fails before its first trial, not at its first write."""
-    out = _output_dir(out_dir)
     paths = [out / name for name in names]
     for path in paths:
         if path.is_dir():
@@ -413,31 +430,20 @@ def _output_files(out_dir, *names: str) -> list[Path]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
-    """Run the full grid, persist trials and aggregates, return the rows.
+    """Run the full grid through ``sweep``, persist trials and aggregates, return the rows.
 
-    Trials run in grid order through ``map``, or through the ordered map of
-    a process pool when ``cfg.workers`` > 1; nothing else differs between
-    the two. Each cell is logged as it starts and ``trials.csv`` under
-    ``cfg.out_dir`` is rewritten as it ends, and the records done so far
-    are flushed if a trial fails, so long runs are inspectable after an
-    abort. ``aggregate.json`` is written once the grid is complete.
+    ``trials.csv`` under ``cfg.out_dir`` is rewritten as each cell ends,
+    and every trial done so far is flushed if one fails, so long runs are
+    inspectable after an abort. ``aggregate.json`` is written once the grid
+    is complete.
     """
     cfg.validate()
     trials_path, aggregate_path = _output_files(cfg.out_dir, *SWEEP_FILES)
-    tasks = [(cfg, cfg.model, L, q, t) for L, q in cfg.cells() for t in range(cfg.trials)]
     records: list[TrialRecord] = []
-    if cfg.workers > 1:
-        # imported only here: the pool's modules, multiprocessing among them,
-        # add 1.9 MB to the peak RSS and 16 ms once numpy is loaded, which a
-        # serial sweep or a recover_instance call would pay for nothing
-        from concurrent.futures import ProcessPoolExecutor
     try:
-        with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
-            results = map(_trial_task, tasks) if pool is None else pool.map(
-                _trial_task, tasks, chunksize=max(1, len(tasks) // (cfg.workers * 8)))
-            for L, q in cfg.cells():
-                log.info("running model=%s L=%d q=%d (%d trials)", cfg.model, L, q, cfg.trials)
-                records.extend(next(results) for _ in range(cfg.trials))
+        for rec in sweep(cfg):
+            records.append(rec)
+            if len(records) % cfg.trials == 0:
                 write_trials_csv(trials_path, records)
     except Exception:
         if records:
@@ -551,36 +557,53 @@ def render_table(which: int, results: list[AggregateRow] | None = None) -> tuple
     return _format_text_table(header, body), _csv_text(header, body)
 
 
-def _figure_files(which: int, out_dir) -> dict[tuple[str, int], Path]:
-    """The series files of a figure, keyed by (model, q), as checked by ``_output_files``."""
-    names = {(model, q): f"figure{which}_{model}_q{q}.csv" for model in REPORT_GRIDS for q in REPORT_QS}
-    return dict(zip(names, _output_files(out_dir, *names.values())))
-
-
 def emit_figure_data(which: int, results: list[AggregateRow], out_dir) -> list[Path]:
     """Write one plottable series file per (model, q) of a figure.
 
     Columns are L, median error, and the downward/upward deviations to
-    the cell's extremes, ready for log-scale error-bar plotting.
+    the cell's extremes, ready for log-scale error-bar plotting. Both
+    models' grids are read before any file is written.
     """
-    if which not in FIGURES:
-        raise ValueError(f"no such figure: {which}")
-    paths = _figure_files(which, out_dir)
-    for model in REPORT_GRIDS:
-        grid = _report_grid(results, model, FIGURES[which])
-        for i, q in enumerate(REPORT_QS):
-            series = [cells[i] for _, cells in grid]
-            body = [[str(row.L), repr(row.median_delta), repr(row.lower_dev), repr(row.upper_dev)] for row in series]
-            paths[model, q].write_text(_csv_text(["L", "median_delta", "lower_dev", "upper_dev"], body))
-    return list(paths.values())
+    return _write_report("figure", which, out_dir, results)[0]
 
 
-def _run_report_grid(model: str, method: str, trials: int, seed: int, out_dir, workers: int) -> list[AggregateRow]:
-    lengths = REPORT_GRIDS[model]
-    return run_experiment(ExperimentConfig(
-        model=model, L_range=(lengths[0], lengths[-1]), q_list=REPORT_QS,
-        trials=trials, seed=seed, methods=(method,), out_dir=str(out_dir), workers=workers,
-    ))
+def _write_report(kind: str, which: int, out_dir, results: list[AggregateRow] | None = None,
+                  trials: int | None = None, seed: int = 0, workers: int = 1) -> tuple[list[Path], Sequence[str]]:
+    """Write table or figure ``which`` under ``out_dir``; return its (paths, texts).
+
+    With ``trials`` the rows are those of the report's own sweeps, a figure's
+    in one subdirectory per model. Every output path, the sweep files
+    included, is checked before any trial runs, and every text is formed
+    before any file is written.
+    """
+    figure = kind == "figure"
+    if which not in (FIGURES if figure else (*TABLES, 5)):
+        raise ValueError(f"no such {kind}: {which}")
+    out = Path(out_dir)
+    if figure:
+        names = [f"figure{which}_{model}_q{q}.csv" for model in REPORT_GRIDS for q in REPORT_QS]
+        grids = [(model, FIGURES[which], out / model) for model in REPORT_GRIDS]
+    else:
+        names, grids = [f"table{which}.txt", f"table{which}.csv"], [(*TABLES[which], out)] if which in TABLES else []
+    configs = [ExperimentConfig(model, (REPORT_GRIDS[model][0], REPORT_GRIDS[model][-1]), REPORT_QS, trials, seed,
+                                methods=(method,), out_dir=str(path), workers=workers)
+               for model, method, path in grids if trials is not None]
+    for cfg in configs:
+        cfg.validate()
+    paths = _output_files(out, *names)
+    for cfg in configs:
+        _output_files(cfg.out_dir, *SWEEP_FILES)
+    results = [row for cfg in configs for row in run_experiment(cfg)] if configs else results
+    if figure:
+        columns = ("median_delta", "lower_dev", "upper_dev")
+        series = [_report_grid(results, model, FIGURES[which]) for model in REPORT_GRIDS]
+        texts = [_csv_text(["L", *columns], [[str(L), *(repr(getattr(cells[i], c)) for c in columns)]
+                                             for L, cells in grid]) for grid in series for i in range(len(REPORT_QS))]
+    else:
+        texts = render_table(which, results)
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    return paths, texts
 
 
 def reproduce_table(which: int, trials: int = 200, seed: int = 0, out_dir="results",
@@ -588,33 +611,12 @@ def reproduce_table(which: int, trials: int = 200, seed: int = 0, out_dir="resul
     """Run whatever simulation a reference table needs and render it.
 
     Writes ``table{which}.txt`` and ``table{which}.csv`` under out_dir,
-    next to the underlying trial data for tables 1-4. Every output path
-    is checked before any trial runs (the sweep's own by ``run_experiment``).
+    next to the underlying trial data for tables 1-4.
     """
-    if which != 5 and which not in TABLES:
-        raise ValueError(f"no such table: {which}")
-    out = Path(out_dir)
-    text_path, csv_path = _output_files(out, f"table{which}.txt", f"table{which}.csv")
-    rows = None if which == 5 else _run_report_grid(*TABLES[which], trials, seed, out, workers)
-    text, csv_text = render_table(which, rows)
-    text_path.write_text(text)
-    csv_path.write_text(csv_text)
-    return text, csv_text
+    return _write_report("table", which, out_dir, trials=trials, seed=seed, workers=workers)[1]
 
 
 def reproduce_figure(which: int, trials: int = 200, seed: int = 0, out_dir="results",
                      workers: int = 1) -> list[Path]:
-    """Run both panels of a reference figure and write the series files.
-
-    Every output path, each panel's sweep files included, is checked
-    before any trial runs.
-    """
-    if which not in FIGURES:
-        raise ValueError(f"no such figure: {which}")
-    out = Path(out_dir)
-    _figure_files(which, out)
-    for model in REPORT_GRIDS:
-        _output_files(out / model, *SWEEP_FILES)
-    rows = [row for model in REPORT_GRIDS
-            for row in _run_report_grid(model, FIGURES[which], trials, seed, out / model, workers)]
-    return emit_figure_data(which, rows, out)
+    """Run both panels of a reference figure, each in its model's subdirectory, and write the series files."""
+    return _write_report("figure", which, out_dir, trials=trials, seed=seed, workers=workers)[0]

@@ -1,14 +1,18 @@
 """Command-line interface: argument handling, output, exit codes."""
 
+import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chaintomo import cli, eee, harness, spectral
+from chaintomo import cli, eee, harness, ranks, spectral
 from reference_grids import H2_RANK
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -65,21 +69,63 @@ def test_rank_scan_agrees_with_closed_form(capsys):
     assert all(line.endswith("yes") for line in out[1:])
 
 
-def test_rank_scan_skips_cells_above_the_dimension(capsys):
-    code = cli.main(["rank-scan", "--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "4", "5", "6"])
-    assert code == 0
-    out = capsys.readouterr().out.splitlines()[1:]
-    assert [line.split()[:3] for line in out if "skipped" in line] == [["2", "5", "skipped:"], ["2", "6", "skipped:"]]
-    ran = [line for line in out if "skipped" not in line]
-    assert [line.split()[:2] for line in ran] == [["2", "4"], ["3", "4"], ["3", "5"], ["3", "6"]]
-    assert all(line.endswith("yes") for line in ran)
+def test_rank_scan_departure_from_the_closed_form_exits_four(capsys, monkeypatch):
+    predict = ranks.predict_ranks
+    monkeypatch.setattr(ranks, "predict_ranks", lambda *args: dataclasses.replace(predict(*args), r=0))
+    assert cli.main(["rank-scan", "--model", "h2", "--L-min", "2", "--L-max", "2", "--q", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "  2   1    15     6       0        7             7   NO"
+    assert "measured ranks deviate from the closed form" in err
+
+
+RANK_SCAN_HEADER = "  L   q     N     r  r_pred  r_prime  r_prime_pred   ok\n"
+
+
+def _verbose_scan(*args):
+    """stdout of ``chaintomo -v rank-scan ARGS`` and the cells its progress lines name, from a fresh process."""
+    out = subprocess.run([sys.executable, "-m", "chaintomo.cli", "-v", "rank-scan", *args], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    running = re.findall(r"running model=\w+ L=(\d+) q=(\d+)", out.stderr)
+    return out.stdout, [(int(L), int(q)) for L, q in running]
+
+
+def test_rank_scan_readme_grid_output():
+    out, running = _verbose_scan("--model", "h2prime", "--L-min", "3", "--L-max", "5", "--q", "1", "2", "3")
+    assert out == RANK_SCAN_HEADER + (
+        "  3   1    36    14      14       15            15  yes\n"
+        "  3   2    36    26      26       28            28  yes\n"
+        "  3   3    36    34      34       37            37  yes\n"
+        "  4   1    57    30      30       31            31  yes\n"
+        "  4   2    57    56      56       58            58  yes\n"
+        "  4   3    57    56      56       59            59  yes\n"
+        "  5   1    78    62      62       63            63  yes\n"
+        "  5   2    78    76      76       79            79  yes\n"
+        "  5   3    78    76      76       80            80  yes\n"
+    )
+    # -v logs each swept cell once, through the sweep loop
+    assert running == [(L, q) for L in (3, 4, 5) for q in (1, 2, 3)]
+
+
+def test_rank_scan_skips_cells_above_the_dimension():
+    out, running = _verbose_scan("--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "4", "5", "6")
+    assert out == RANK_SCAN_HEADER + (
+        "  2   4    15    12      12       16            16  yes\n"
+        "  2   5 skipped: q exceeds the Hilbert dimension 4\n"
+        "  2   6 skipped: q exceeds the Hilbert dimension 4\n"
+        "  3   4    27    26      26       30            30  yes\n"
+        "  3   5    27    26      26       31            31  yes\n"
+        "  3   6    27    26      26       32            32  yes\n"
+    )
+    # a skipped cell runs no trial and logs no progress
+    assert running == [(2, 4), (3, 4), (3, 5), (3, 6)]
     # a grid with no cell left, a bad q or a chain too short are still usage errors
     for args in (["--model", "h2", "--L-min", "2", "--L-max", "2", "--q", "5"],
                  ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "0", "5"],
                  ["--model", "h2prime", "--L-min", "2", "--L-max", "3", "--q", "5"],
                  ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "2", "2"],
                  ["--model", "h2", "--L-min", "2", "--L-max", "3", "--q", "5", "5"],
-                 ["--model", "h2", "--L-min", "2", "--L-max", "6", "--q", "2", "50"]):
+                 ["--model", "h2", "--L-min", "2", "--L-max", "6", "--q", "2", "50"],
+                 ["--model", "h2", "--L-min", "4", "--L-max", "3", "--q", "1"]):
         assert cli.main(["rank-scan", *args]) == 2, args
 
 

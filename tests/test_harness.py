@@ -309,6 +309,26 @@ def test_worker_pool_matches_serial(tmp_path, caplog, monkeypatch):
     assert text_s == text_p
 
 
+def test_aborted_sweep_flushes_every_finished_trial(tmp_path, monkeypatch):
+    # the sixth trial is the second of cell (L=3, q=1): the first of that
+    # cell finished and is flushed with the two whole cells before it
+    calls = []
+    run = harness.run_trial
+
+    def failing_sixth(*args):
+        calls.append(args)
+        if len(calls) == 6:
+            raise NumericalFailureError("sixth trial fails")
+        return run(*args)
+
+    monkeypatch.setattr(harness, "run_trial", failing_sixth)
+    with pytest.raises(NumericalFailureError, match="sixth trial fails"):
+        run_experiment(_tiny_cfg(tmp_path))
+    rows = parse_trials_csv(tmp_path / "trials.csv")
+    assert [(r["L"], r["q"], r["trial"]) for r in rows] == [(2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1), (3, 1, 0)]
+    assert not (tmp_path / "aggregate.json").exists()
+
+
 def _rec(model="h2", L=2, q=1, t=0, delta=0.5, r=6, r_prime=7, rejected=False):
     if rejected:
         return TrialRecord(model, L, q, t, "s", None, None, None, None, None, None, None, True, 0.01)
@@ -423,6 +443,14 @@ def test_emit_figure_data(tmp_path):
         emit_figure_data(2, rows, tmp_path)  # rows carry no eee results
     with pytest.raises(IncompleteGridError):
         emit_figure_data(1, None, tmp_path)
+
+
+def test_emit_figure_data_writes_nothing_for_an_incomplete_grid(tmp_path):
+    # h2 is complete and comes first; h3table lacks L=9
+    rows = _fake_rows("h2", "hoe", range(2, 10)) + _fake_rows("h3table", "hoe", range(3, 9))
+    with pytest.raises(IncompleteGridError, match="model=h3table"):
+        emit_figure_data(1, rows, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reproduce_analytic_table(tmp_path):

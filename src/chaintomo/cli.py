@@ -1,8 +1,9 @@
 """Command-line entry points for recoveries, rank scans and reproductions.
 
-Exit codes: 0 on success, 2 for configuration and usage errors, 3 when a
-report is asked for a grid the results do not cover, 4 when a numerical
-step fails (including measured ranks departing from the closed form).
+Exit codes: 0 on success, 2 for configuration and usage errors, a chain
+too long to allocate among them, 3 when a report is asked for a grid the
+results do not cover, 4 when a numerical step fails (including measured
+ranks departing from the closed form).
 """
 
 from __future__ import annotations
@@ -96,11 +97,9 @@ def cmd_rank_scan(args) -> int:
                                   f"which needs L >= {models.min_length(args.model)}")
     # a cell mixes q distinct eigenstates, so it needs q <= 2**L: each length
     # sweeps the q that fit, and the scan prints the rest as skipped; every
-    # length's config is validated before any trial runs
+    # length's config is built, and so validated, before any trial runs
     configs = {L: harness.ExperimentConfig(args.model, (L, L), fit, args.trials, args.seed)
                for L in lengths if (fit := tuple(q for q in args.q if q <= 2**L))}
-    for cfg in configs.values():
-        cfg.validate()
     if not configs:
         raise harness.ConfigError(f"every q in {args.q} exceeds the Hilbert dimension up to L={args.L_max}")
     print(f"{'L':>3} {'q':>3} {'N':>5} {'r':>5} {'r_pred':>7} {'r_prime':>8} {'r_prime_pred':>13} {'ok':>4}")
@@ -178,6 +177,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except harness.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except harness.IncompleteGridError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ import time
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -48,23 +48,6 @@ NEAR_CUT_DECADES = 1.0
 # the files a sweep writes under its output directory
 SWEEP_FILES = ("trials.csv", "aggregate.json")
 
-TRIAL_CSV_COLUMNS = (
-    "model",
-    "L",
-    "q",
-    "trial",
-    "delta_hoe",
-    "delta_eee",
-    "r",
-    "r_prime",
-    "delta_gap",
-    "delta_gap_prime",
-    "relations_ok",
-    "rejected",
-    "wall_time_s",
-)
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
@@ -79,12 +62,13 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one sweep.
+    """Declarative description of one sweep, valid by construction.
 
     ``L_range`` is inclusive on both ends. ``methods`` selects which
     recovery routes run per trial. ``workers`` > 1 distributes trials
     over a process pool without changing any result under one BLAS
-    setting.
+    setting. Building a config, ``dataclasses.replace`` included, runs
+    ``validate``, so a bad field raises ConfigError before any trial.
     """
 
     model: str
@@ -98,6 +82,9 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("hoe", "eee")
     out_dir: str = "results"
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.model not in models.MODEL_KINDS:
@@ -155,8 +142,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(mapping) - known
+        unknown = set(mapping) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "model" not in mapping or "L_range" not in mapping:
@@ -168,9 +154,7 @@ class ExperimentConfig:
                     values[key] = tuple(values[key])
                 except TypeError:
                     raise ConfigError(f"config key {key!r} must be a list") from None
-        cfg = cls(**values)
-        cfg.validate()
-        return cfg
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -216,6 +200,11 @@ class TrialRecord:
     relations_ok: bool | None
     rejected: bool
     wall_time_s: float
+
+
+# one trials.csv column per TrialRecord field but the stream id, in field order, trial_index written as trial
+TRIAL_CSV_COLUMNS = tuple("trial" if f.name == "trial_index" else f.name
+                          for f in fields(TrialRecord) if f.name != "seed_stream_id")
 
 
 @dataclass(frozen=True)
@@ -292,11 +281,6 @@ def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: t
     return reports, eee.compare_methods(reports["hoe"], reports["eee"], state.q) if len(reports) == 2 else None
 
 
-def _score(report: hoe.RecoveryReport, a_true: np.ndarray) -> tuple[float, int, int]:
-    """A route's (delta, rank, gap): the values ROUTE_FIELDS names on a TrialRecord."""
-    return hoe.reconstruction_error(a_true, report.coefficients), report.rank, report.gap
-
-
 def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: int) -> TrialRecord:
     """Draw, decompose, mix, recover and score one random instance.
 
@@ -314,9 +298,10 @@ def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: in
     if state is None:
         log.warning("trial rejected after %d retries: model=%s L=%d q=%d trial=%d",
                     MAX_DEGENERACY_RETRIES, model, L, q, trial_index)
-    scores = dict.fromkeys(field for fields in ROUTE_FIELDS.values() for field in fields)
+    scores = dict.fromkeys(field for route in ROUTE_FIELDS.values() for field in route)
     for method, report in reports.items():
-        scores.update(zip(ROUTE_FIELDS[method], _score(report, a_true)))
+        delta = hoe.reconstruction_error(a_true, report.coefficients)
+        scores.update(zip(ROUTE_FIELDS[method], (delta, report.rank, report.gap)))
         near = {side: decades for side, decades in (("kept", report.kept), ("dropped", report.dropped))
                 if decades is not None and decades < NEAR_CUT_DECADES}
         if near:
@@ -336,7 +321,6 @@ def sweep(cfg: ExperimentConfig) -> Iterator[TrialRecord]:
     when ``cfg.workers`` > 1; nothing else differs between the two. Each
     cell is logged as its first trial is asked for.
     """
-    cfg.validate()
     tasks = [(L, q, t) for L, q in cfg.cells() for t in range(cfg.trials)]
     if cfg.workers > 1:
         # imported only here: the pool's modules, multiprocessing among them,
@@ -400,8 +384,8 @@ def _csv_cell(value) -> str:
 
 
 def trials_csv_text(records: list[TrialRecord]) -> str:
-    fields = ["trial_index" if column == "trial" else column for column in TRIAL_CSV_COLUMNS]
-    return _csv_text(list(TRIAL_CSV_COLUMNS), [[_csv_cell(getattr(rec, f)) for f in fields] for rec in records])
+    names = ["trial_index" if column == "trial" else column for column in TRIAL_CSV_COLUMNS]
+    return _csv_text(list(TRIAL_CSV_COLUMNS), [[_csv_cell(getattr(rec, f)) for f in names] for rec in records])
 
 
 def write_trials_csv(path, records: list[TrialRecord]) -> None:
@@ -437,7 +421,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[AggregateRow]:
     inspectable after an abort. ``aggregate.json`` is written once the grid
     is complete.
     """
-    cfg.validate()
     trials_path, aggregate_path = _output_files(cfg.out_dir, *SWEEP_FILES)
     records: list[TrialRecord] = []
     try:
@@ -467,8 +450,7 @@ def recover_instance(model: str, L: int, q: int, seed: int = 0, selection: str =
     same seed streams as the sweep runner: trial index 0 of the given
     master seed. Bad arguments raise ConfigError.
     """
-    ExperimentConfig(model, (L, L), (q,), seed=seed, selection_policy=selection, rank_tol=rank_tol,
-                     methods=methods).validate()
+    ExperimentConfig(model, (L, L), (q,), seed=seed, selection_policy=selection, rank_tol=rank_tol, methods=methods)
     instance = f"model={model} L={L} q={q} seed={seed}"
     with _naming_failures(instance):
         basis, a_true, state, _ = draw_instance(model, L, q, seed, 0, selection)
@@ -588,8 +570,6 @@ def _write_report(kind: str, which: int, out_dir, results: list[AggregateRow] | 
     configs = [ExperimentConfig(model, (REPORT_GRIDS[model][0], REPORT_GRIDS[model][-1]), REPORT_QS, trials, seed,
                                 methods=(method,), out_dir=str(path), workers=workers)
                for model, method, path in grids if trials is not None]
-    for cfg in configs:
-        cfg.validate()
     paths = _output_files(out, *names)
     for cfg in configs:
         _output_files(cfg.out_dir, *SWEEP_FILES)

@@ -276,6 +276,23 @@ def test_exit_code_for_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "model=h2 L=8 q=2 seed=4: Eigenvalues did not converge" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_two(tmp_path, monkeypatch, capsys):
+    # a chain too long for the dense path is a usage error; the allocation
+    # is faked, as a real one may succeed lazily and be killed later
+    def too_long(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array with shape (1048576, 1048576)")
+
+    monkeypatch.setattr(harness, "draw_instance", too_long)
+    assert cli.main(["recover", "--model", "h2", "--L", "20", "--q", "1"]) == 2
+    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 16.0 TiB for an array "
+                                       "with shape (1048576, 1048576)\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "h2", "L_range": [20, 20], "q_list": [1], "trials": 1}))
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate 16.0 TiB")
+    assert not (tmp_path / "out" / "trials.csv").exists()
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "--table", "9"])

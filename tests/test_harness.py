@@ -208,9 +208,22 @@ def test_run_trial_and_recover_instance_score_alike(model, L, q, methods, tmp_pa
     ("success_threshold", float("inf")),
 ])
 def test_config_validation_rejects(field, value, tmp_path):
-    cfg = _tiny_cfg(tmp_path, **{field: value})
     with pytest.raises(ConfigError):
-        cfg.validate()
+        _tiny_cfg(tmp_path, **{field: value})
+
+
+def test_config_replace_revalidates(tmp_path):
+    cfg = _tiny_cfg(tmp_path)
+    with pytest.raises(ConfigError, match="workers"):
+        dataclasses.replace(cfg, workers=0)
+
+
+def test_kind_ids_cover_every_model():
+    # the ids enter every trial's seed stream: a family without one would
+    # pass validation and fail at its first trial, and a changed id would
+    # change every result drawn for its family
+    assert harness.KIND_ID == {"h2": 0, "h2prime": 1, "h3": 2, "h3table": 3}
+    assert set(harness.KIND_ID) == set(models.MODEL_KINDS)
 
 
 def test_config_from_mapping():
@@ -256,7 +269,11 @@ def test_run_experiment_end_to_end(tmp_path):
     agg_path = tmp_path / "aggregate.json"
     assert csv_path.exists() and agg_path.exists()
     text = csv_path.read_text()
-    assert text.splitlines()[0] == ",".join(TRIAL_CSV_COLUMNS)
+    # README's column list; wall_time_s stays last, as readers that compare
+    # runs drop the last column
+    assert text.splitlines()[0] == ("model,L,q,trial,delta_hoe,delta_eee,r,r_prime,delta_gap,delta_gap_prime,"
+                                    "relations_ok,rejected,wall_time_s")
+    assert ",".join(TRIAL_CSV_COLUMNS) == text.splitlines()[0]
     records = parse_trials_csv(csv_path)
     assert len(records) == 2 * len(cfg.cells())
     for rec in records:

@@ -24,8 +24,9 @@ from .hoe import DEFAULT_RANK_TOL, DegenerateRecoveryError, RecoveryReport, cons
 from .models import TermBasis
 from .spectral import SteadyState
 
-# DegenerateRecoveryError is raised in hoe.recover and stays importable
-# from here, the one route that can raise it
+# DegenerateRecoveryError is raised in hoe.recover, on either route at full
+# column rank, and stays importable from here, where the vanishing
+# coefficient block is the joint route's own case
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,11 @@ def constraint_matrix(basis: TermBasis, state: SteadyState) -> np.ndarray:
     Row layout is fixed: for each mixed state in ascending energy order,
     first the real parts of its 2**L equations, then the imaginary parts.
     The last q columns carry -psi_mu in column mu, pairing eigenvalue mu
-    with its state. Built by ``hoe.constraint_matrices``, in Fortran order;
-    a sweep trial never forms it where its state blocks are reduced one by
-    one (see ``recover``).
+    with its state. Built by ``hoe.constraint_matrices``, in Fortran order,
+    and returned as it is at q = 1 or where the state blocks are short.
+    Where each is at least hoe.STATE_R_ASPECT times taller than wide, the q
+    stacked (N + q)-row R factors of the blocks are returned in its place:
+    the same singular values and nullspace, without forming the tall Q.
     """
     return constraint_matrices(basis, state, ("eee",))[1]
 
@@ -60,22 +63,10 @@ def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) 
     """Split the canonical null vector of Q into coefficients and energies.
 
     ``hoe.recover`` with the leading ``n_params`` columns as the coefficient
-    block, after checking that both blocks are non-empty. With q = columns
-    - ``n_params``, Q is read as q row blocks of equal height, one per mixed
-    state; where ``hoe.state_blocks_reduce`` holds for them (q >= 2, each
-    at least twice as tall as wide), each is reduced to its QR R factor
-    first and the stacked factors are recovered from: the matrix
-    ``hoe.constraint_matrices(..., by_state=True)`` returns in place of Q,
-    so both give the same report bit for bit.
+    block, after checking that both blocks are non-empty.
     """
-    if np.ndim(qmat) == 2:  # any other shape is rejected by hoe.recover
-        n_rows, n_cols = np.shape(qmat)
-        if not 0 < n_params < n_cols:
-            raise ValueError(f"n_params={n_params} incompatible with {n_cols} columns")
-        q = n_cols - n_params
-        height = n_rows // q
-        if height * q == n_rows and hoe.state_blocks_reduce(height, n_cols, q):
-            qmat = np.concatenate([np.linalg.qr(block, mode="r") for block in np.split(qmat, q)])
+    if np.ndim(qmat) == 2 and not 0 < n_params < np.shape(qmat)[1]:  # hoe.recover rejects other shapes
+        raise ValueError(f"n_params={n_params} incompatible with {np.shape(qmat)[1]} columns")
     return hoe.recover(qmat, tol_rel, n_params)
 
 

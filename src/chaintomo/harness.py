@@ -265,13 +265,13 @@ def _naming_failures(instance: str):
 def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: tuple[str, ...], rank_tol: float):
     """Run the selected recovery routes on one drawn instance.
 
-    Both constraint matrices come from one pass over the mixed states,
-    which reduces Q state by state where ``hoe.state_blocks_reduce`` says
-    so; the commutator SVD runs before the joint QR. Returns ``(reports,
+    Both constraint matrices come from one pass over the mixed states
+    (``hoe.constraint_matrices``, which decides where Q is reduced state by
+    state); the commutator SVD runs before the joint QR. Returns ``(reports,
     relations)``: the reports keyed by method in METHODS order, and the
     cross-route checks when both routes ran (else None).
     """
-    g, qmat = hoe.constraint_matrices(basis, state, methods, by_state=True)
+    g, qmat = hoe.constraint_matrices(basis, state, methods)
     reports = {}
     if g is not None:
         reports["hoe"] = hoe.recover(g, rank_tol)

@@ -33,7 +33,7 @@ GATHER_ROWS = 32
 SOLVE_BLOCK = 64
 
 # rows per column from which each mixed state's row block of the joint
-# matrix is reduced to its own R factor (see state_blocks_reduce)
+# matrix is reduced to its own R factor (see constraint_matrices)
 STATE_R_ASPECT = 2
 
 
@@ -70,7 +70,7 @@ class RecoveryReport:
 
 
 def constraint_matrices(
-    basis: TermBasis, state: SteadyState, methods: tuple[str, ...] = ("hoe", "eee"), by_state: bool = False
+    basis: TermBasis, state: SteadyState, methods: tuple[str, ...] = ("hoe", "eee")
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Both routes' constraint matrices ``(G, Q)`` from one pass over the states.
 
@@ -90,11 +90,14 @@ def constraint_matrices(
     share one real block of the same column order, so G is bit-identical
     whichever routes run.
 
-    With ``by_state``, where ``state_blocks_reduce`` holds (q >= 2 and
-    blocks at least twice as tall as wide), each block is reduced to its
-    QR R factor as it is gathered, and the Q returned is the stack of the
-    q factors, (N + q) rows each, which ``eee.recover`` factors when given
-    the whole Q, bit for bit: the tall Q is never formed.
+    At q >= 2, where each block is at least STATE_R_ASPECT times taller
+    than wide, each is reduced to its QR R factor as it is gathered, and
+    the Q returned is the stack of the q factors, (N + q) rows each: one
+    TSQR step (arXiv:0808.2664), with Q's singular values and right-singular
+    vectors, which is all recovery reads. The tall Q is never formed, and
+    np.linalg.qr's copy of its input is one block, for at most
+    2 / (3 STATE_R_ASPECT) more flops than one QR of Q. At q = 1 the one
+    block is Q.
     """
     if not methods or not set(methods) <= {"hoe", "eee"}:
         raise ValueError(f"methods must name one or both of 'hoe' and 'eee', got {methods!r}")
@@ -104,8 +107,8 @@ def constraint_matrices(
         raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
     dim, n, q = basis.dim, basis.n_params, state.q
     with_q = "eee" in methods
-    by_state = by_state and with_q and state_blocks_reduce(2 * dim, n + q, q)
-    if by_state:
+    reduced = with_q and q >= 2 and 2 * dim >= STATE_R_ASPECT * (n + q)
+    if reduced:
         qmat, block = np.empty((q * (n + q), n + q)), np.empty((2 * dim, n + q), order="F")
     elif with_q:
         qmat, block = np.zeros((2 * dim * q, n + q), order="F"), None
@@ -119,7 +122,7 @@ def constraint_matrices(
     for mu in range(q):
         b = qmat[2 * dim * mu : 2 * dim * (mu + 1)] if block is None else block
         psi = np.ascontiguousarray(state.states[:, mu], dtype=complex)
-        if by_state:
+        if reduced:
             b[:, n:] = 0.0
         if with_q:
             b[:dim, n + mu] = -psi.real
@@ -135,7 +138,7 @@ def constraint_matrices(
             np.matmul(b[:dim, :n].T, b[dim:, :n], out=x)
             x *= state.probs[mu]
             acc += x
-        if by_state:
+        if reduced:
             qmat[mu * (n + q) : (mu + 1) * (n + q)] = np.linalg.qr(b, mode="r")
     if not with_g:
         return None, qmat
@@ -171,19 +174,6 @@ def constraint_matrix(
     m = len(observables)
     union = replace(basis, terms=tuple(observables) + basis.terms)
     return constraint_matrices(union, state, ("hoe",))[0][:m, m:]
-
-
-def state_blocks_reduce(block_rows: int, n_cols: int, q: int) -> bool:
-    """Whether the joint route reduces each of the q state row blocks of Q,
-    of ``block_rows`` rows and ``n_cols`` columns, to its R factor on its own.
-
-    It does at q >= 2 where each block is at least STATE_R_ASPECT times
-    taller than wide: the q stacked (N + q)-row R factors stand in for Q
-    (one TSQR step, arXiv:0808.2664), and np.linalg.qr's copy of its input
-    is one block, not Q, for at most 2 / (3 STATE_R_ASPECT) more flops than
-    one QR of Q. At q = 1 the one block is Q.
-    """
-    return q >= 2 and block_rows >= STATE_R_ASPECT * n_cols
 
 
 def _r_factor(m: np.ndarray) -> np.ndarray:

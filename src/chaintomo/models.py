@@ -161,8 +161,5 @@ def assemble(basis: TermBasis, coeffs: np.ndarray) -> np.ndarray:
         terms = np.flatnonzero(flip == f)
         odd = np.bitwise_count(src & sign[terms, None]) & 1
         signed = np.where(odd, -values[terms, None], values[terms, None])
-        group = np.zeros(basis.dim, dtype=complex)
-        for row in signed:
-            group += row
-        h[rows, src] = group
+        h[rows, src] = signed.sum(axis=0)  # along axis 0: row by row, in term order
     return h

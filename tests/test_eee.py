@@ -56,6 +56,39 @@ def test_block_layout_matches_amplitudes():
         assert np.array_equal(block[:, n:], col)
 
 
+def _joint_reference(basis, state):
+    """Q assembled state by state from term_amplitudes, Re over Im, with -psi_mu in column N + mu."""
+    n, q = basis.n_params, state.q
+    blocks = []
+    for mu in range(q):
+        psi = state.states[:, mu]
+        amps = np.zeros((basis.dim, n + q), dtype=complex)
+        amps[:, :n] = term_amplitudes(basis, psi)
+        amps[:, n + mu] = -psi
+        blocks += [amps.real, amps.imag]
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("kind,L,q,reduced", [("h2", 8, 3, True), ("h3table", 9, 2, True),
+                                              ("h3table", 9, 1, False), ("h3table", 8, 3, False)])
+def test_public_builder_returns_q_or_its_stacked_state_r_factors(kind, L, q, reduced):
+    # at q >= 2 with state blocks at least twice as tall as wide the builder
+    # returns the q stacked (N + q)-row R factors, which share Q's singular
+    # values and the norms of its products; elsewhere it returns Q itself
+    basis, _, _, state = _instance(kind, L, q, seed=4)
+    n, dim = basis.n_params, basis.dim
+    joint, qmat = eee.constraint_matrix(basis, state), _joint_reference(basis, state)
+    if not reduced:
+        assert joint.shape == (2 * dim * q, n + q)
+        assert np.array_equal(joint, qmat)
+        return
+    assert joint.shape == (q * (n + q), n + q)
+    sigma, want = np.linalg.svd(joint, compute_uv=False), np.linalg.svd(qmat, compute_uv=False)
+    assert np.max(np.abs(sigma - want)) <= 1e-12 * want[0]
+    x = np.random.default_rng(L * q).standard_normal(n + q)
+    assert np.linalg.norm(joint @ x) == pytest.approx(np.linalg.norm(qmat @ x), rel=1e-12)
+
+
 def test_true_unknowns_span_the_nullspace():
     basis, coeffs, _, state = _instance(seed=2)
     qmat = eee.constraint_matrix(basis, state)

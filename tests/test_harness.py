@@ -499,17 +499,19 @@ def test_recover_instance_report():
     assert recover_instance("h2", 3, 2, seed=0) == result
 
 
-@pytest.mark.parametrize("model,L,q,by_state", [("h2", 8, 3, True), ("h3table", 7, 3, False), ("h3table", 9, 3, True),
-                                                ("h3table", 9, 2, True), ("h2", 8, 1, False)])
-def test_routes_match_the_public_builders_bit_for_bit(model, L, q, by_state):
+@pytest.mark.parametrize("model,L,q,reduced", [("h2", 8, 3, True), ("h3table", 7, 3, False), ("h3table", 9, 3, True),
+                                               ("h3table", 9, 2, True), ("h2", 8, 1, False)])
+def test_routes_match_the_public_builders_bit_for_bit(model, L, q, reduced):
     # perfbench's traced replica recovers from the public builders' G and
-    # whole Q, where a sweep trial makes one pass and, at tall state blocks,
-    # never forms Q: the reports must not differ in a single bit
+    # joint matrix, where a sweep trial makes one pass for both; at tall
+    # state blocks both are the stacked per-state R factors: the reports
+    # must not differ in a single bit
     basis, _, state, _ = harness.draw_instance(model, L, q, 1, 0, "lowest")
-    assert hoe.state_blocks_reduce(2 * basis.dim, basis.n_params + q, q) == by_state
+    qmat = eee.constraint_matrix(basis, state)
+    n = basis.n_params
+    assert qmat.shape[0] == (q * (n + q) if reduced else 2 * basis.dim * q)
     reports, _ = harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL)
-    public = {"hoe": hoe.recover(hoe.constraint_matrix(basis, state)),
-              "eee": eee.recover(eee.constraint_matrix(basis, state), basis.n_params)}
+    public = {"hoe": hoe.recover(hoe.constraint_matrix(basis, state)), "eee": eee.recover(qmat, n)}
     for method, expected in public.items():
         got = reports[method]
         assert np.array_equal(got.coefficients, expected.coefficients), method

@@ -135,25 +135,27 @@ def test_pass_memory_stays_within_its_arrays():
     # traced peak of one pass at h3table: its outputs, X and its running
     # sum, and 1 MB for a chunk's sources, phases and gather buffer; neither
     # the (2**L, N) action table (2.2 MB at L=9) nor a full complex amplitude
-    # array (2.9 MB) would fit. Where state_blocks_reduce holds, the joint
-    # route reduces each state's block as it is gathered: it holds the
-    # stacked R factors, one block, the copy np.linalg.qr takes of it and
-    # the R it returns. Elsewhere Q is formed whole: at q=1 the one block
-    # is Q, and at L=8 q=3 the three blocks are under aspect 2
-    for L, q, by_state in [(9, 1, False), (8, 3, False), (9, 3, True), (10, 3, True)]:
+    # array (2.9 MB) would fit. Where the returned Q is the stack of the
+    # per-state R factors, the joint route reduced each state's block as it
+    # was gathered: it holds the stacked R factors, one block, the copy
+    # np.linalg.qr takes of it and the R it returns. Elsewhere Q is formed
+    # whole: at q=1 the one block is Q, and at L=8 q=3 the three blocks are
+    # under aspect 2
+    for L, q, reduced in [(9, 1, False), (8, 3, False), (9, 3, True), (10, 3, True)]:
         basis, _, _, state = _instance("h3table", L, q, seed=3)
         dim, n = basis.dim, basis.n_params
         products = 2 * n * n * 8
         block, r_factor = 2 * dim * (n + q) * 8, (n + q) ** 2 * 8
-        assert hoe.state_blocks_reduce(2 * dim, n + q, q) == by_state
-        joint = q * r_factor + 2 * block + r_factor if by_state else q * block
+        joint = q * r_factor + 2 * block + r_factor if reduced else q * block
         for methods, held in [(("hoe", "eee"), joint), (("hoe",), 2 * dim * n * 8)]:
             tracemalloc.start()
             try:
-                constraint_matrices(basis, state, methods, by_state=True)
+                _, qmat = constraint_matrices(basis, state, methods)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            if qmat is not None:
+                assert qmat.shape[0] == (q * (n + q) if reduced else 2 * dim * q), (L, q)
             assert peak <= held + products + 2**20, (L, methods, peak)
 
 

@@ -19,12 +19,6 @@ import numpy as np
 from . import __version__, eee, harness, hoe, models, ranks, spectral
 
 
-def _add_instance_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, choices=models.MODEL_KINDS)
-    p.add_argument("--q", type=int, default=1, help="number of mixed eigenstates")
-    p.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaintomo",
@@ -36,7 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
     workers_help = "trial processes; run a pool under OPENBLAS_NUM_THREADS=1, or the workers oversubscribe the cores"
 
     p = sub.add_parser("recover", help="recover one seeded random instance and print the report as JSON")
-    _add_instance_args(p)
+    p.add_argument("--model", required=True, choices=models.MODEL_KINDS)
+    p.add_argument("--q", type=int, default=1, help="number of mixed eigenstates")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--L", type=int, required=True, help="chain length")
     p.add_argument("--selection", choices=spectral.SELECTION_POLICIES, default="lowest")
     p.add_argument("--rank-tol", type=float, default=hoe.DEFAULT_RANK_TOL)
@@ -57,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rerun a reference table or figure and write its files")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--table", type=int, choices=(1, 2, 3, 4, 5))
-    group.add_argument("--figure", type=int, choices=(1, 2))
+    group.add_argument("--table", type=int, choices=(*harness.TABLES, 5))  # table 5 is analytic
+    group.add_argument("--figure", type=int, choices=tuple(harness.FIGURES))
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="results")

@@ -262,12 +262,15 @@ def _naming_failures(instance: str):
         raise NumericalFailureError(f"recovery failed at {instance}: {exc}") from exc
 
 
-def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: tuple[str, ...], rank_tol: float):
+def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: tuple[str, ...], rank_tol: float,
+                instance: str):
     """Run the selected recovery routes on one drawn instance.
 
     Both constraint matrices come from one pass over the mixed states
     (``hoe.constraint_matrices``, which decides where Q is reduced state by
-    state); the commutator SVD runs before the joint QR. Returns ``(reports,
+    state); the commutator SVD runs before the joint QR. A rank decision
+    within NEAR_CUT_DECADES of its cut, on either side, is logged as a
+    warning naming ``instance`` and the route. Returns ``(reports,
     relations)``: the reports keyed by method in METHODS order, and the
     cross-route checks when both routes ran (else None).
     """
@@ -278,6 +281,12 @@ def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: t
         del g  # held across the QR of Q, it raised the sweeps' peak RSS by 4.5 MB
     if qmat is not None:
         reports["eee"] = eee.recover(qmat, basis.n_params, rank_tol)
+    for method, report in reports.items():
+        near = {side: decades for side, decades in (("kept", report.kept), ("dropped", report.dropped))
+                if decades is not None and decades < NEAR_CUT_DECADES}
+        if near:
+            log.warning("rank cut within %g decade of a singular value: %s route=%s %s", NEAR_CUT_DECADES,
+                        instance, method, " ".join(f"{side}={decades:.3g}" for side, decades in near.items()))
     return reports, eee.compare_methods(reports["hoe"], reports["eee"], state.q) if len(reports) == 2 else None
 
 
@@ -287,14 +296,14 @@ def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: in
     Deterministic given its arguments. Degenerate eigenvalue picks trigger
     a full resample on a fresh retry stream, at most 16 times; after that
     the trial is marked rejected rather than silently skipped. A failed
-    eigensolve or recovery raises NumericalFailureError naming the trial.
-    A rank decision within NEAR_CUT_DECADES of its cut, on either side, is
-    logged as a warning naming the trial and the route.
+    eigensolve or recovery raises NumericalFailureError naming the trial,
+    and a rank decision near its cut is logged naming it (see _run_routes).
     """
     t0 = time.perf_counter()
-    with _naming_failures(f"model={model} L={L} q={q} trial={trial_index}"):
+    instance = f"model={model} L={L} q={q} trial={trial_index}"
+    with _naming_failures(instance):
         basis, a_true, state, retry = draw_instance(model, L, q, cfg.seed, trial_index, cfg.selection_policy)
-        reports, rel = ({}, None) if state is None else _run_routes(basis, state, cfg.methods, cfg.rank_tol)
+        reports, rel = ({}, None) if state is None else _run_routes(basis, state, cfg.methods, cfg.rank_tol, instance)
     if state is None:
         log.warning("trial rejected after %d retries: model=%s L=%d q=%d trial=%d",
                     MAX_DEGENERACY_RETRIES, model, L, q, trial_index)
@@ -302,12 +311,6 @@ def run_trial(cfg: ExperimentConfig, model: str, L: int, q: int, trial_index: in
     for method, report in reports.items():
         delta = hoe.reconstruction_error(a_true, report.coefficients)
         scores.update(zip(ROUTE_FIELDS[method], (delta, report.rank, report.gap)))
-        near = {side: decades for side, decades in (("kept", report.kept), ("dropped", report.dropped))
-                if decades is not None and decades < NEAR_CUT_DECADES}
-        if near:
-            log.warning("rank cut within %g decade of a singular value: model=%s L=%d q=%d trial=%d route=%s %s",
-                        NEAR_CUT_DECADES, model, L, q, trial_index, method,
-                        " ".join(f"{side}={decades:.3g}" for side, decades in near.items()))
     return TrialRecord(model=model, L=L, q=q, trial_index=trial_index,
                        seed_stream_id=f"{cfg.seed}-{KIND_ID[model]}-{L}-{q}-{trial_index}-{retry}", **scores,
                        relations_ok=None if rel is None else rel.rank_relation_ok and rel.gap_relation_ok,
@@ -456,7 +459,7 @@ def recover_instance(model: str, L: int, q: int, seed: int = 0, selection: str =
         basis, a_true, state, _ = draw_instance(model, L, q, seed, 0, selection)
         if state is None:
             raise NumericalFailureError(f"no non-degenerate state at {instance} in {MAX_DEGENERACY_RETRIES} retries")
-        reports, rel = _run_routes(basis, state, methods, rank_tol)
+        reports, rel = _run_routes(basis, state, methods, rank_tol, instance)
     result: dict = {
         "model": model, "L": L, "q": q, "seed": seed, "selection": selection,
         "n_params": basis.n_params,

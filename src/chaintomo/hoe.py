@@ -139,7 +139,7 @@ def constraint_matrices(
             x *= state.probs[mu]
             acc += x
         if reduced:
-            qmat[mu * (n + q) : (mu + 1) * (n + q)] = np.linalg.qr(b, mode="r")
+            qmat[mu * (n + q) : (mu + 1) * (n + q)] = _r_factor(b)
     if not with_g:
         return None, qmat
     g = np.subtract(acc, acc.T, out=x)
@@ -179,14 +179,10 @@ def constraint_matrix(
 def _r_factor(m: np.ndarray) -> np.ndarray:
     """The QR R factor of m, min(rows, columns) by columns, never the Q.
 
-    A matrix at least two rows short of square is returned as it is: it
-    has the same singular values and right-singular vectors as its R.
+    It has m's singular values and right-singular vectors, and it is
+    square when m has at least as many rows as columns.
     """
-    m = np.atleast_2d(np.asarray(m))
-    n_rows, n_cols = m.shape
-    if n_rows < n_cols - 1:
-        return m
-    return np.linalg.qr(m, mode="r")
+    return np.linalg.qr(np.atleast_2d(np.asarray(m)), mode="r")
 
 
 def _rank_and_sigma(r: np.ndarray, tol_rel: float, compute_uv: bool = False):
@@ -201,17 +197,15 @@ def _rank_and_sigma(r: np.ndarray, tol_rel: float, compute_uv: bool = False):
 
 
 def _inverse_iteration(r: np.ndarray, sigma_0: float) -> np.ndarray:
-    """One step of inverse iteration on R^T R from the all-ones vector.
+    """One step of inverse iteration on R^T R from the all-ones vector, R square.
 
-    A wide R gains zero rows first. Two blocked triangular solves, first
-    with R^T and then with R, through np.linalg.solve on SOLVE_BLOCK-row
-    diagonal blocks and one product per block for the part already solved.
-    Diagonal entries below eps * sigma_0 are raised to it, so an exactly
-    singular R still has a solution.
+    Two blocked triangular solves, first with R^T and then with R, through
+    np.linalg.solve on SOLVE_BLOCK-row diagonal blocks and one product per
+    block for the part already solved. Diagonal entries below
+    eps * sigma_0 are raised to it, so an exactly singular R still has a
+    solution.
     """
     n = r.shape[1]
-    if r.shape[0] < n:
-        r = np.pad(r, ((0, n - r.shape[0]), (0, 0)))
     floor = np.finfo(float).eps * sigma_0
     blocks = []
     for s in range(0, n, SOLVE_BLOCK):
@@ -255,20 +249,20 @@ def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, np
     nullspace alone: when that is one-dimensional, it is the null vector
     whose entries sum to a positive value.
 
-    In exact arithmetic R has one zero diagonal entry per null direction.
-    When the rows R lacks plus its diagonal entries at or below tol_rel
-    times the largest one count two or more, the full SVD of R gives the
-    rank and the nullspace basis at once (the trailing rows of V^T).
-    Otherwise the singular values alone decide the rank; rank = columns - 1
-    takes one step of inverse iteration on R^T R, accepted when
-    ||R x|| <= 10 sigma_min + n eps sigma_0, and any other rank, or a
-    rejected step, falls back to the full SVD. Raises
+    In exact arithmetic a square R has one zero diagonal entry per null
+    direction. A square R with at most one diagonal entry at or below
+    tol_rel times the largest one lets the singular values alone decide the
+    rank, and rank = columns - 1 takes one step of inverse iteration on
+    R^T R, accepted when ||R x|| <= 10 sigma_min + n eps sigma_0. Any other
+    R (a wide one, or two or more small diagonal entries), any other rank,
+    or a rejected step takes the full SVD of R, which gives the rank and
+    the nullspace basis at once (the trailing rows of V^T). Raises
     DegenerateRecoveryError when m has full column rank.
     """
     r = _r_factor(m)
     n = r.shape[1]
     diag = np.abs(np.diagonal(r))
-    if n - r.shape[0] + np.count_nonzero(diag <= tol_rel * diag.max()) < 2:
+    if r.shape[0] == n and np.count_nonzero(diag <= tol_rel * diag.max()) < 2:
         rank, sigma = _rank_and_sigma(r, tol_rel)
         if rank == n - 1 and rank > 0:
             x = _inverse_iteration(r, sigma[0])

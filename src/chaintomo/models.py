@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, row_action, string_masks
+from .pauli import I_POWERS, PauliString, row_action, string_masks
 
 FAMILIES = {
     "h2": ((0,), (0, 1)),
@@ -153,7 +153,7 @@ def assemble(basis: TermBasis, coeffs: np.ndarray) -> np.ndarray:
     if coeffs.shape != (basis.n_params,):
         raise ValueError(f"expected {basis.n_params} coefficients, got shape {coeffs.shape}")
     flip, sign, n_y = basis.masks
-    values = np.array([1, 1j, -1, -1j])[n_y % 4] * coeffs  # i**n_y * a_n, exact
+    values = I_POWERS[n_y % 4] * coeffs  # i**n_y * a_n, exact
     rows = np.arange(basis.dim, dtype=np.int32)
     h = np.zeros((basis.dim, basis.dim), dtype=complex)
     for f in dict.fromkeys(flip.tolist()):  # np.unique's first call costs 16 ms

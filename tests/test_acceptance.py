@@ -313,7 +313,7 @@ def _joint_route(qmat, n_params):
 def test_svd_nullspace_against_elimination_oracle():
     # independent route: no numpy linear algebra anywhere in the oracle. At
     # h2 L=2 the joint matrix is wide for q = 1, 2 (8x16, 16x17) and tall for
-    # q = 3 (24x18), so both factorization paths of hoe.nullspace are checked.
+    # q = 3 (24x18), so hoe.nullspace is checked on a wide and a square R.
     # All of those joint matrices have dependent rows and nullspaces of several
     # dimensions, so two more inputs pin the paths down: a wide G of full row
     # rank (five observables), whose null vectors only the full V^T holds, and

@@ -107,6 +107,19 @@ def test_rank_cut_within_a_decade_is_logged(tmp_path, caplog):
     assert caplog.records == []
 
 
+def test_recover_instance_logs_rank_cuts_near_the_cut(monkeypatch, caplog):
+    # recover_instance warns as a sweep trial does, naming its seed in
+    # place of the trial; at 20 decades every decision is near its cut,
+    # since kept is at most 10 decades at a cut of 1e-10 sigma_0
+    monkeypatch.setattr(harness, "NEAR_CUT_DECADES", 20)
+    with caplog.at_level(logging.WARNING, logger="chaintomo.harness"):
+        recover_instance("h2", 3, 2, seed=0)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 2
+    for warning, method in zip(warnings, harness.METHODS):
+        assert "decade of a singular value: model=h2 L=3 q=2 seed=0 route=" + method + " kept=" in warning
+
+
 def test_serial_runs_never_load_the_pool(tmp_path):
     # multiprocessing is imported only where a sweep starts a pool
     code = (
@@ -510,7 +523,7 @@ def test_routes_match_the_public_builders_bit_for_bit(model, L, q, reduced):
     qmat = eee.constraint_matrix(basis, state)
     n = basis.n_params
     assert qmat.shape[0] == (q * (n + q) if reduced else 2 * basis.dim * q)
-    reports, _ = harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL)
+    reports, _ = harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL, "test")
     public = {"hoe": hoe.recover(hoe.constraint_matrix(basis, state)), "eee": eee.recover(qmat, n)}
     for method, expected in public.items():
         got = reports[method]
@@ -542,7 +555,7 @@ def test_routes_at_tall_state_blocks_never_hold_the_joint_matrix():
     whole_q = 2 * basis.dim * state.q * (basis.n_params + state.q) * 8
     tracemalloc.start()
     try:
-        harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL)
+        harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL, "test")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -555,7 +568,7 @@ def test_routes_factor_no_more_than_one_state_block(monkeypatch):
     basis, _, state, _ = harness.draw_instance("h3table", 9, 2, 1, 0, "lowest")
     rows, qr = [], np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda m, *args, **kw: rows.append(m.shape[0]) or qr(m, *args, **kw))
-    harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL)
+    harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL, "test")
     assert rows and max(rows) <= 2 * basis.dim, rows
 
 

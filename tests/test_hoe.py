@@ -233,12 +233,16 @@ def test_recover_known_one_dim_nullspace():
     for n in (6, 11):
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        g = rng.standard_normal((n + 3, n)) @ (np.eye(n) - np.outer(v, v))
-        report = recover(g)
-        assert report.rank == n - 1
-        assert report.gap == 0
-        assert report.unique
-        assert reconstruction_error(v, report.coefficients) <= 1e-10
+        proj = np.eye(n) - np.outer(v, v)
+        g = rng.standard_normal((n + 3, n)) @ proj
+        # and a matrix one row short of square, whose R is wide
+        short = np.random.default_rng(n).standard_normal((n - 1, n)) @ proj
+        for m in (g, short):
+            report = recover(m)
+            assert report.rank == n - 1
+            assert report.gap == 0
+            assert report.unique
+            assert reconstruction_error(v, report.coefficients) <= 1e-10
 
 
 def test_recover_flags_ambiguous_instances():
@@ -308,7 +312,7 @@ def _planted(draw):
     # an exact nullspace of dimension d: z exact-zero columns plus d - z
     # random directions among the others; the kept singular values lie in
     # [1, 2], and the rows make the matrix wide, square or tall (up to 9
-    # times taller than wide, past the two-half factorization's threshold)
+    # times taller than wide)
     n = draw(st.integers(1, 12))
     d = draw(st.integers(1, min(4, n)))
     z = draw(st.integers(0, d))

@@ -51,10 +51,10 @@ def constraint_matrix(basis: TermBasis, state: SteadyState) -> np.ndarray:
     first the real parts of its 2**L equations, then the imaginary parts.
     The last q columns carry -psi_mu in column mu, pairing eigenvalue mu
     with its state. Built by ``hoe.constraint_matrices``, in Fortran order,
-    and returned as it is at q = 1 or where the state blocks are short.
-    Where each is at least hoe.STATE_R_ASPECT times taller than wide, the q
-    stacked (N + q)-row R factors of the blocks are returned in its place:
-    the same singular values and nullspace, without forming the tall Q.
+    and returned as it is where Q is under twice as tall as its sketch.
+    Elsewhere its 2 (N + q)-row CountSketch SQ is returned in its place:
+    Q's rank and nullspace with high probability, without forming Q, from
+    row maps fixed by 2**L, the state's index and N + q alone.
     """
     return constraint_matrices(basis, state, ("eee",))[1]
 

@@ -267,8 +267,8 @@ def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: t
     """Run the selected recovery routes on one drawn instance.
 
     Both constraint matrices come from one pass over the mixed states
-    (``hoe.constraint_matrices``, which decides where Q is reduced state by
-    state); the commutator SVD runs before the joint QR. A rank decision
+    (``hoe.constraint_matrices``, which decides where Q is replaced by its
+    CountSketch); the commutator SVD runs before the joint QR. A rank decision
     within NEAR_CUT_DECADES of its cut, on either side, is logged as a
     warning naming ``instance`` and the route. Returns ``(reports,
     relations)``: the reports keyed by method in METHODS order, and the

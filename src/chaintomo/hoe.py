@@ -32,11 +32,6 @@ GATHER_ROWS = 32
 # rows of R per diagonal block of the blocked triangular solves
 SOLVE_BLOCK = 64
 
-# rows per column from which each mixed state's row block of the joint
-# matrix is reduced to its own R factor (see constraint_matrices)
-STATE_R_ASPECT = 2
-
-
 class DegenerateRecoveryError(RuntimeError):
     """No usable null vector: full column rank, or a vanishing coefficient block."""
 
@@ -90,14 +85,13 @@ def constraint_matrices(
     share one real block of the same column order, so G is bit-identical
     whichever routes run.
 
-    At q >= 2, where each block is at least STATE_R_ASPECT times taller
-    than wide, each is reduced to its QR R factor as it is gathered, and
-    the Q returned is the stack of the q factors, (N + q) rows each: one
-    TSQR step (arXiv:0808.2664), with Q's singular values and right-singular
-    vectors, which is all recovery reads. The tall Q is never formed, and
-    np.linalg.qr's copy of its input is one block, for at most
-    2 / (3 STATE_R_ASPECT) more flops than one QR of Q. At q = 1 the one
-    block is Q.
+    Where Q is at least twice as tall as its sketch (dim q >= 2 (N + q)),
+    each block is added, as it is gathered, into the CountSketch SQ
+    returned in place of Q (arXiv:1207.6365): each row of [A_mu | -psi_mu]
+    goes with a sign of +-1 to one of N + q buckets (``_row_map``), real
+    parts over imaginary parts. SQ x = 0 wherever Q x = 0, and SQ keeps
+    Q's rank with high probability (arXiv:2002.01387); a (basis, state)
+    always gives the same SQ. Elsewhere Q is returned whole.
     """
     if not methods or not set(methods) <= {"hoe", "eee"}:
         raise ValueError(f"methods must name one or both of 'hoe' and 'eee', got {methods!r}")
@@ -107,11 +101,12 @@ def constraint_matrices(
         raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
     dim, n, q = basis.dim, basis.n_params, state.q
     with_q = "eee" in methods
-    reduced = with_q and q >= 2 and 2 * dim >= STATE_R_ASPECT * (n + q)
-    if reduced:
-        qmat, block = np.empty((q * (n + q), n + q)), np.empty((2 * dim, n + q), order="F")
+    sketch = with_q and dim * q >= 2 * (n + q)
+    if sketch:
+        qmat, block = np.zeros((2 * (n + q), n + q)), np.empty((2 * dim, n + q), order="F")
+        taken = np.empty((n + q, dim))  # half a block in bucket order, one row per column
     elif with_q:
-        qmat, block = np.zeros((2 * dim * q, n + q), order="F"), None
+        qmat, block = np.empty((2 * dim * q, n + q), order="F"), None
     else:
         qmat, block = None, np.empty((2 * dim, n), order="F")
     rows = np.arange(dim, dtype=np.int32)
@@ -122,9 +117,8 @@ def constraint_matrices(
     for mu in range(q):
         b = qmat[2 * dim * mu : 2 * dim * (mu + 1)] if block is None else block
         psi = np.ascontiguousarray(state.states[:, mu], dtype=complex)
-        if reduced:
-            b[:, n:] = 0.0
         if with_q:
+            b[:, n:] = 0.0
             b[:dim, n + mu] = -psi.real
             b[dim:, n + mu] = -psi.imag
         for r in range(0, dim, GATHER_ROWS):
@@ -138,8 +132,12 @@ def constraint_matrices(
             np.matmul(b[:dim, :n].T, b[dim:, :n], out=x)
             x *= state.probs[mu]
             acc += x
-        if reduced:
-            qmat[mu * (n + q) : (mu + 1) * (n + q)] = _r_factor(b)
+        if sketch:
+            sign, order, starts, buckets = _row_map(dim, mu, n + q)
+            b *= np.tile(sign, 2)[:, None]
+            for part in (0, 1):  # Re rows, then Im rows, gathered through the C-ordered b.T
+                np.take(b.T, order + part * dim, axis=1, out=taken, mode="clip")
+                qmat[buckets + part * (n + q)] += np.add.reduceat(taken.T, starts, axis=0)
     if not with_g:
         return None, qmat
     g = np.subtract(acc, acc.T, out=x)
@@ -176,13 +174,14 @@ def constraint_matrix(
     return constraint_matrices(union, state, ("hoe",))[0][:m, m:]
 
 
-def _r_factor(m: np.ndarray) -> np.ndarray:
-    """The QR R factor of m, min(rows, columns) by columns, never the Q.
-
-    It has m's singular values and right-singular vectors, and it is
-    square when m has at least as many rows as columns.
-    """
-    return np.linalg.qr(np.atleast_2d(np.asarray(m)), mode="r")
+def _row_map(dim: int, mu: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """State mu's CountSketch into ``width`` buckets, fixed by (dim, mu, width) alone: each
+    row's sign, the rows in stable bucket order, and each nonempty bucket's run start and bucket."""
+    rng = np.random.default_rng((0, dim, mu, width))
+    bucket, sign = rng.integers(width, size=dim), rng.choice((-1.0, 1.0), size=dim)
+    order = np.argsort(bucket, kind="stable")
+    starts = np.flatnonzero(np.diff(bucket[order], prepend=-1))
+    return sign, order, starts, bucket[order][starts]
 
 
 def _rank_and_sigma(r: np.ndarray, tol_rel: float, compute_uv: bool = False):
@@ -241,13 +240,14 @@ def _canonical(null_rows: np.ndarray) -> np.ndarray:
 def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, np.ndarray, np.ndarray]:
     """Numeric rank, singular values and the canonical null vector of m.
 
-    Everything is read off the QR R factor of m (see ``_r_factor``), and
-    no left factor is formed. The singular values, one per column (zeros
-    for the rows a wide m lacks), count towards the rank when above
-    tol_rel * sigma_0. The returned vector is the unit projection of the
-    normalized all-ones vector onto the nullspace, so it depends on the
-    nullspace alone: when that is one-dimensional, it is the null vector
-    whose entries sum to a positive value.
+    Everything is read off the QR R factor of m, which has m's singular
+    values and right-singular vectors; no left factor is formed. The
+    singular values, one per column (zeros for the rows a wide m lacks),
+    count towards the rank when above tol_rel * sigma_0. The returned
+    vector is the unit projection of the normalized all-ones vector onto
+    the nullspace, so it depends on the nullspace alone: when that is
+    one-dimensional, it is the null vector whose entries sum to a positive
+    value.
 
     In exact arithmetic a square R has one zero diagonal entry per null
     direction. A square R with at most one diagonal entry at or below
@@ -259,7 +259,7 @@ def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, np
     the nullspace basis at once (the trailing rows of V^T). Raises
     DegenerateRecoveryError when m has full column rank.
     """
-    r = _r_factor(m)
+    r = np.linalg.qr(np.atleast_2d(m), mode="r")
     n = r.shape[1]
     diag = np.abs(np.diagonal(r))
     if r.shape[0] == n and np.count_nonzero(diag <= tol_rel * diag.max()) < 2:
@@ -276,7 +276,7 @@ def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, np
 
 def numeric_rank(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above tol_rel times the largest one."""
-    return _rank_and_sigma(_r_factor(m), tol_rel)[0]
+    return _rank_and_sigma(np.linalg.qr(np.atleast_2d(m), mode="r"), tol_rel)[0]
 
 
 def recover(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL, n_params: int | None = None) -> RecoveryReport:

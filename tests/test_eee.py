@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chaintomo import eee, hoe
+from chaintomo import eee, harness, hoe
 from chaintomo.eee import DegenerateRecoveryError, compare_methods
 from chaintomo.models import (
     TermBasis,
@@ -13,6 +13,7 @@ from chaintomo.models import (
     term_amplitudes,
 )
 from chaintomo.pauli import PauliString
+from chaintomo.ranks import predict_ranks
 from chaintomo.spectral import SteadyState, build_steady_state, eig_hermitian
 
 
@@ -69,24 +70,42 @@ def _joint_reference(basis, state):
     return np.vstack(blocks)
 
 
-@pytest.mark.parametrize("kind,L,q,reduced", [("h2", 8, 3, True), ("h3table", 9, 2, True),
-                                              ("h3table", 9, 1, False), ("h3table", 8, 3, False)])
-def test_public_builder_returns_q_or_its_stacked_state_r_factors(kind, L, q, reduced):
-    # at q >= 2 with state blocks at least twice as tall as wide the builder
-    # returns the q stacked (N + q)-row R factors, which share Q's singular
-    # values and the norms of its products; elsewhere it returns Q itself
-    basis, _, _, state = _instance(kind, L, q, seed=4)
+def _count_sketch(basis, q):
+    """The CountSketch the constraint pass applies to Q, as a dense matrix read
+    off hoe._row_map: row i of state mu's Re and Im halves both go, with one
+    sign, to bucket h(i), among the Re and the Im buckets respectively."""
+    dim, width = basis.dim, basis.n_params + q
+    s = np.zeros((2 * width, 2 * dim * q))
+    for mu in range(q):
+        sign, order, starts, buckets = hoe._row_map(dim, mu, width)
+        bucket = np.repeat(buckets, np.diff(np.append(starts, dim)))
+        for part in (0, 1):
+            s[bucket + part * width, (2 * mu + part) * dim + order] = sign[order]
+    return s
+
+
+@pytest.mark.parametrize("kind,L,q,sketched", [("h2", 8, 3, True), ("h3table", 9, 2, True),
+                                               ("h3table", 9, 1, False), ("h3table", 8, 3, True)])
+def test_public_builder_returns_q_or_its_stacked_state_r_factors(kind, L, q, sketched):
+    # where Q is at least twice as tall as its 2(N + q)-row sketch the
+    # builder returns the CountSketch SQ, one signed +-1 entry per column of
+    # S, which keeps Q's rank and its null vector; elsewhere it returns Q
+    # itself, bit for bit
+    basis, coeffs, _, state = _instance(kind, L, q, seed=4)
     n, dim = basis.n_params, basis.dim
     joint, qmat = eee.constraint_matrix(basis, state), _joint_reference(basis, state)
-    if not reduced:
+    assert (dim * q >= 2 * (n + q)) == sketched
+    if not sketched:
         assert joint.shape == (2 * dim * q, n + q)
         assert np.array_equal(joint, qmat)
         return
-    assert joint.shape == (q * (n + q), n + q)
-    sigma, want = np.linalg.svd(joint, compute_uv=False), np.linalg.svd(qmat, compute_uv=False)
-    assert np.max(np.abs(sigma - want)) <= 1e-12 * want[0]
-    x = np.random.default_rng(L * q).standard_normal(n + q)
-    assert np.linalg.norm(joint @ x) == pytest.approx(np.linalg.norm(qmat @ x), rel=1e-12)
+    assert joint.shape == (2 * (n + q), n + q)
+    s = _count_sketch(basis, q)
+    assert np.array_equal(np.count_nonzero(s, axis=0), np.ones(2 * dim * q))
+    assert np.max(np.abs(joint - s @ qmat)) <= 1e-14 * np.max(np.abs(qmat))
+    assert hoe.numeric_rank(joint) == hoe.numeric_rank(qmat)
+    x_true = np.concatenate([coeffs, state.energies])
+    assert np.linalg.norm(joint @ x_true) <= 1e-12 * np.linalg.norm(joint, 2) * np.linalg.norm(x_true)
 
 
 def test_true_unknowns_span_the_nullspace():
@@ -178,3 +197,32 @@ def test_compare_methods_on_ambiguous_cell():
     assert cmp.rank_relation_ok
     assert cmp.gap_relation_ok
     assert cmp.aligned_distance is None
+
+
+# the cells of both acceptance grids (h2 L=2-9, h3table L=3-9, q=1-3) where Q
+# is at least twice as tall as its sketch: h2 L=6 q=3, L=7 q>=2 and L>=8;
+# h3table L=8 q=3 and L=9 q>=2
+SKETCHED_GRID_CELLS = [(kind, L, q) for kind, lengths in (("h2", range(2, 10)), ("h3table", range(3, 10)))
+                       for L in lengths for q in (1, 2, 3) if 2**L * q >= 2 * (enumerate_terms(kind, L).n_params + q)]
+
+
+@pytest.mark.parametrize("selection", ["lowest", "random"])
+def test_sketch_keeps_the_exact_rank_and_null_vector(selection):
+    # the exact joint matrix is the oracle: at every sketched cell, the
+    # sketch's rank is the whole Q's and the closed form's, its recovered
+    # vector is the whole Q's, and every pass that builds Q returns the same
+    # sketch bit for bit
+    assert len(SKETCHED_GRID_CELLS) == 12
+    for kind, L, q in SKETCHED_GRID_CELLS:
+        for seed in (1, 2, 3):
+            basis, _, state, _ = harness.draw_instance(kind, L, q, seed, 0, selection)
+            n, cell = basis.n_params, (kind, L, q, seed)
+            sketch, qmat = eee.constraint_matrix(basis, state), _joint_reference(basis, state)
+            assert sketch.shape == (2 * (n + q), n + q), cell
+            joint, exact = eee.recover(sketch, n), eee.recover(qmat, n)
+            assert joint.rank == exact.rank == predict_ranks(kind, L, q).r_prime, cell
+            assert np.max(np.abs(joint.coefficients - exact.coefficients)) <= 1e-10, cell
+            assert np.max(np.abs(joint.eigenvalues - exact.eigenvalues)) <= 1e-10, cell
+            for again in (eee.constraint_matrix(basis, state), hoe.constraint_matrices(basis, state, ("eee",))[1],
+                          hoe.constraint_matrices(basis, state, ("hoe", "eee"))[1]):
+                assert again.tobytes() == sketch.tobytes(), cell

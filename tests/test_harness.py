@@ -512,17 +512,17 @@ def test_recover_instance_report():
     assert recover_instance("h2", 3, 2, seed=0) == result
 
 
-@pytest.mark.parametrize("model,L,q,reduced", [("h2", 8, 3, True), ("h3table", 7, 3, False), ("h3table", 9, 3, True),
-                                               ("h3table", 9, 2, True), ("h2", 8, 1, False)])
-def test_routes_match_the_public_builders_bit_for_bit(model, L, q, reduced):
+@pytest.mark.parametrize("model,L,q,sketched", [("h2", 8, 3, True), ("h3table", 7, 3, False), ("h3table", 9, 3, True),
+                                                ("h3table", 9, 2, True), ("h2", 8, 1, True)])
+def test_routes_match_the_public_builders_bit_for_bit(model, L, q, sketched):
     # perfbench's traced replica recovers from the public builders' G and
-    # joint matrix, where a sweep trial makes one pass for both; at tall
-    # state blocks both are the stacked per-state R factors: the reports
-    # must not differ in a single bit
+    # joint matrix, where a sweep trial makes one pass for both; where Q is
+    # at least twice as tall as its sketch both are the CountSketch of Q:
+    # the reports must not differ in a single bit
     basis, _, state, _ = harness.draw_instance(model, L, q, 1, 0, "lowest")
     qmat = eee.constraint_matrix(basis, state)
     n = basis.n_params
-    assert qmat.shape[0] == (q * (n + q) if reduced else 2 * basis.dim * q)
+    assert qmat.shape[0] == (2 * (n + q) if sketched else 2 * basis.dim * q)
     reports, _ = harness._run_routes(basis, state, harness.METHODS, hoe.DEFAULT_RANK_TOL, "test")
     public = {"hoe": hoe.recover(hoe.constraint_matrix(basis, state)), "eee": eee.recover(qmat, n)}
     for method, expected in public.items():
@@ -549,8 +549,8 @@ def test_draw_instance_matches_the_public_steady_state_bit_for_bit(model, L, q):
 
 
 def test_routes_at_tall_state_blocks_never_hold_the_joint_matrix():
-    # each state's block is reduced to its R factor as it is gathered, so
-    # the routes' peak stays below the whole Q, which they held 1.5 times
+    # each state's block is sketched as it is gathered, so the routes'
+    # peak stays below the whole Q, which they once held 1.5 times
     basis, _, state, _ = harness.draw_instance("h2", 9, 5, 1, 0, "lowest")
     whole_q = 2 * basis.dim * state.q * (basis.n_params + state.q) * 8
     tracemalloc.start()
@@ -563,8 +563,8 @@ def test_routes_at_tall_state_blocks_never_hold_the_joint_matrix():
 
 
 def test_routes_factor_no_more_than_one_state_block(monkeypatch):
-    # at h3table L=9 q=2 each state's block is 2.9 times taller than wide:
-    # the routes reduce it on its own and never factor the 2048-row Q
+    # at h3table L=9 q=2 the routes factor the 706-row sketch of Q and
+    # never the 2048-row Q
     basis, _, state, _ = harness.draw_instance("h3table", 9, 2, 1, 0, "lowest")
     rows, qr = [], np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda m, *args, **kw: rows.append(m.shape[0]) or qr(m, *args, **kw))

@@ -135,18 +135,19 @@ def test_pass_memory_stays_within_its_arrays():
     # traced peak of one pass at h3table: its outputs, X and its running
     # sum, and 1 MB for a chunk's sources, phases and gather buffer; neither
     # the (2**L, N) action table (2.2 MB at L=9) nor a full complex amplitude
-    # array (2.9 MB) would fit. Where the returned Q is the stack of the
-    # per-state R factors, the joint route reduced each state's block as it
-    # was gathered: it holds the stacked R factors, one block, the copy
-    # np.linalg.qr takes of it and the R it returns. Elsewhere Q is formed
-    # whole: at q=1 the one block is Q, and at L=8 q=3 the three blocks are
-    # under aspect 2
-    for L, q, reduced in [(9, 1, False), (8, 3, False), (9, 3, True), (10, 3, True)]:
+    # array (2.9 MB) would fit. Where the returned Q is its 2(N + q)-row
+    # CountSketch, the joint route sketched each state's block as it was
+    # gathered: it holds the sketch, one block, and the reduceat temporaries
+    # (one half-block of signed rows, the bucket sums and the sketch rows
+    # they are added to), at most the bound of the stacked R factors it
+    # replaced at q=3. Elsewhere Q is formed whole: at L=9 q=1, Q is under
+    # twice the sketch's height
+    for L, q, sketched in [(9, 1, False), (8, 3, True), (9, 3, True), (10, 3, True)]:
         basis, _, _, state = _instance("h3table", L, q, seed=3)
         dim, n = basis.dim, basis.n_params
         products = 2 * n * n * 8
-        block, r_factor = 2 * dim * (n + q) * 8, (n + q) ** 2 * 8
-        joint = q * r_factor + 2 * block + r_factor if reduced else q * block
+        block, square = 2 * dim * (n + q) * 8, (n + q) ** 2 * 8
+        joint = 2 * square + block + (block // 2 + 2 * square) if sketched else q * block
         for methods, held in [(("hoe", "eee"), joint), (("hoe",), 2 * dim * n * 8)]:
             tracemalloc.start()
             try:
@@ -155,7 +156,7 @@ def test_pass_memory_stays_within_its_arrays():
             finally:
                 tracemalloc.stop()
             if qmat is not None:
-                assert qmat.shape[0] == (q * (n + q) if reduced else 2 * dim * q), (L, q)
+                assert qmat.shape[0] == (2 * (n + q) if sketched else 2 * dim * q), (L, q)
             assert peak <= held + products + 2**20, (L, methods, peak)
 
 

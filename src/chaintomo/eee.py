@@ -54,7 +54,7 @@ def constraint_matrix(basis: TermBasis, state: SteadyState) -> np.ndarray:
     and returned as it is where Q is under twice as tall as its sketch.
     Elsewhere its 2 (N + q)-row CountSketch SQ is returned in its place:
     Q's rank and nullspace with high probability, without forming Q, from
-    row maps fixed by 2**L, the state's index and N + q alone.
+    row maps fixed by 2**L, the state's index, N + q and the row layer alone.
     """
     return constraint_matrices(basis, state, ("eee",))[1]
 

@@ -14,6 +14,7 @@ inverse iteration on the QR R factor of G, see ``nullspace``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,10 +25,10 @@ from .spectral import SteadyState
 
 DEFAULT_RANK_TOL = 1e-10
 
-# rows of a state's term amplitudes gathered at a time through one complex
-# buffer, each chunk's sources and phases computed from the terms' masks as
-# it is reached, so that no (2**L, N) array is formed
-GATHER_ROWS = 32
+# basis rows per layer of the constraint pass: a layer's sources and phases
+# are computed once, from the terms' masks, for every mixed state, so that
+# neither a (2**L, N) array nor a state's whole block is formed
+LAYER_ROWS = 128
 
 # rows of R per diagonal block of the blocked triangular solves
 SOLVE_BLOCK = 64
@@ -67,31 +68,32 @@ class RecoveryReport:
 def constraint_matrices(
     basis: TermBasis, state: SteadyState, methods: tuple[str, ...] = ("hoe", "eee")
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Both routes' constraint matrices ``(G, Q)`` from one pass over the states.
+    """Both routes' constraint matrices ``(G, Q)`` from one pass over the basis rows.
 
     Each matrix is None unless its route ("hoe" or "eee", and no other) is
-    in ``methods``. With the terms' ``TermBasis.masks``, each mixed state's
-    amplitudes A_mu = (h_n|psi_mu>)_n are gathered once, GATHER_ROWS rows at
-    a time, each chunk's sources and phases taken from the masks by
+    in ``methods``. The pass walks the basis in layers of h = min(2**L,
+    N + q, LAYER_ROWS) rows. A layer's sources and phases are taken once, for
+    every mixed state, from the terms' ``TermBasis.masks`` by
     ``pauli.row_action`` (the rule of ``pauli.action_table``, whose (2**L, N)
-    table is never formed), straight into the mu-th row block of the
-    Fortran-ordered Q, Re A_mu over Im A_mu (see eee.constraint_matrix for
-    the layout). G is read off the same block, with X_mu = (Re A_mu)^T (Im A_mu):
+    table is never formed), and each state's amplitudes A_mu = (h_n|psi_mu>)_n
+    on the layer are gathered through them, Re A_mu over Im A_mu (see
+    eee.constraint_matrix for the layout of Q). G is summed layer by layer,
+    with X_mu = (Re A_mu)^T (Im A_mu) one real product per state and layer:
 
         G = -2 sum_mu p_mu (X_mu - X_mu^T),
 
-    since <i[h_m, h_n]>_mu = -2 Im(A_mu^H A_mu)[m, n]. That is one real
-    product per state, and G is exactly antisymmetric. Without Q the states
-    share one real block of the same column order, so G is bit-identical
-    whichever routes run.
+    since <i[h_m, h_n]>_mu = -2 Im(A_mu^H A_mu)[m, n]: exactly antisymmetric,
+    and bit-identical whichever routes run, as all walk the same layers.
 
     Where Q is at least twice as tall as its sketch (dim q >= 2 (N + q)),
-    each block is added, as it is gathered, into the CountSketch SQ
-    returned in place of Q (arXiv:1207.6365): each row of [A_mu | -psi_mu]
-    goes with a sign of +-1 to one of N + q buckets (``_row_map``), real
-    parts over imaginary parts. SQ x = 0 wherever Q x = 0, and SQ keeps
-    Q's rank with high probability (arXiv:2002.01387); a (basis, state)
-    always gives the same SQ. Elsewhere Q is returned whole.
+    each layer is added, as it is gathered, into the CountSketch SQ returned
+    in place of Q (arXiv:1207.6365): each row of [A_mu | -psi_mu] goes with
+    a sign of +-1 to one of N + q buckets (``_layer_maps``), real parts over
+    imaginary parts, the rows of one layer to distinct buckets. SQ x = 0
+    wherever Q x = 0, and SQ keeps Q's rank with high probability
+    (arXiv:2002.01387); a (basis, state) always gives the same SQ. Elsewhere
+    each layer is written straight into the mu-th row block of Q; no state's
+    whole block is held apart from Q.
     """
     if not methods or not set(methods) <= {"hoe", "eee"}:
         raise ValueError(f"methods must name one or both of 'hoe' and 'eee', got {methods!r}")
@@ -100,44 +102,38 @@ def constraint_matrices(
     if state.dim != basis.dim:
         raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
     dim, n, q = basis.dim, basis.n_params, state.q
-    with_q = "eee" in methods
-    sketch = with_q and dim * q >= 2 * (n + q)
-    if sketch:
-        qmat, block = np.zeros((2 * (n + q), n + q)), np.empty((2 * dim, n + q), order="F")
-        taken = np.empty((n + q, dim))  # half a block in bucket order, one row per column
-    elif with_q:
-        qmat, block = np.empty((2 * dim * q, n + q), order="F"), None
+    width, with_g, with_q = n + q, "hoe" in methods, "eee" in methods
+    h, sketch = min(dim, width, LAYER_ROWS), with_q and dim * q >= 2 * width
+    psis = np.ascontiguousarray(state.states.T, dtype=complex)  # one contiguous row per state
+    if with_q and not sketch:  # Q whole, its -psi_mu columns zero outside the mu-th block
+        qmat, layer = np.empty((2 * dim * q, width), order="F"), None
+        qmat[:, n:] = np.where(np.eye(q, dtype=bool)[:, None], -np.c_[psis.real, psis.imag].T, 0.0).reshape(-1, q)
     else:
-        qmat, block = None, np.empty((2 * dim, n), order="F")
-    rows = np.arange(dim, dtype=np.int32)
-    chunk_buf = np.empty((min(GATHER_ROWS, dim), n), dtype=complex)
-    with_g = "hoe" in methods
-    if with_g:
-        acc, x = np.zeros((n, n)), np.empty((n, n))
-    for mu in range(q):
-        b = qmat[2 * dim * mu : 2 * dim * (mu + 1)] if block is None else block
-        psi = np.ascontiguousarray(state.states[:, mu], dtype=complex)
-        if with_q:
-            b[:, n:] = 0.0
-            b[:dim, n + mu] = -psi.real
-            b[dim:, n + mu] = -psi.imag
-        for r in range(0, dim, GATHER_ROWS):
-            e = min(r + GATHER_ROWS, dim)
-            src, phase = row_action(basis.masks, rows[r:e])
+        qmat, layer = (np.zeros((2 * width, width)) if sketch else None), np.empty((2 * h, n), order="F")
+    for mu, psi in enumerate(psis if sketch else ()):  # the sketch's -psi_mu columns
+        bucket, sign = _layer_maps(dim, mu, width)
+        qmat[:, n + mu] = -np.concatenate([np.bincount(bucket, sign * z, width) for z in (psi.real, psi.imag)])
+    buf = np.empty(max(2 * h * n, n * n if with_g else 0))  # a layer's complex gather, then its product
+    chunk_buf = buf[: 2 * h * n].view(complex).reshape(h, n)
+    acc, x = (np.zeros((n, n)), buf[: n * n].reshape(n, n)) if with_g else (None, None)
+    for r in range(0, dim, h):
+        e = min(r + h, dim)
+        src, phase = row_action(basis.masks, np.arange(r, e))
+        for mu, psi in enumerate(psis):
             chunk = np.take(psi, src, out=chunk_buf[: e - r], mode="clip")
             chunk *= phase
-            b[r:e, :n] = chunk.real
-            b[dim + r : dim + e, :n] = chunk.imag
-        if with_g:
-            np.matmul(b[:dim, :n].T, b[dim:, :n], out=x)
-            x *= state.probs[mu]
-            acc += x
-        if sketch:
-            sign, order, starts, buckets = _row_map(dim, mu, n + q)
-            b *= np.tile(sign, 2)[:, None]
-            for part in (0, 1):  # Re rows, then Im rows, gathered through the C-ordered b.T
-                np.take(b.T, order + part * dim, axis=1, out=taken, mode="clip")
-                qmat[buckets + part * (n + q)] += np.add.reduceat(taken.T, starts, axis=0)
+            # the layer's Re and Im rows: in the layer buffer, or in the mu-th block of a whole Q
+            into, lo, im_lo = (layer, 0, h) if layer is not None else (qmat, 2 * dim * mu + r, 2 * dim * mu + dim + r)
+            re, im = into[lo : lo + e - r, :n], into[im_lo : im_lo + e - r, :n]
+            re[:], im[:] = chunk.real, chunk.imag
+            if sketch:
+                bucket, sign = _layer_maps(dim, mu, width)
+                chunk *= sign[r:e, None]
+                qmat[bucket[r:e], :n] += chunk.real
+                qmat[bucket[r:e] + width, :n] += chunk.imag
+            if with_g:  # p_mu X_mu of the layer
+                acc += np.multiply(np.matmul(re.T, im, out=x), state.probs[mu], out=x)
+        del src, phase  # before the next layer's are formed
     if not with_g:
         return None, qmat
     g = np.subtract(acc, acc.T, out=x)
@@ -174,14 +170,18 @@ def constraint_matrix(
     return constraint_matrices(union, state, ("hoe",))[0][:m, m:]
 
 
-def _row_map(dim: int, mu: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """State mu's CountSketch into ``width`` buckets, fixed by (dim, mu, width) alone: each
-    row's sign, the rows in stable bucket order, and each nonempty bucket's run start and bucket."""
-    rng = np.random.default_rng((0, dim, mu, width))
-    bucket, sign = rng.integers(width, size=dim), rng.choice((-1.0, 1.0), size=dim)
-    order = np.argsort(bucket, kind="stable")
-    starts = np.flatnonzero(np.diff(bucket[order], prepend=-1))
-    return sign, order, starts, bucket[order][starts]
+@functools.cache
+def _layer_maps(dim: int, mu: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """State mu's CountSketch into ``width`` buckets, read-only: each row's bucket and sign. The h rows of
+    layer l (h as in the pass) take the leading buckets of a random permutation and random signs, both fixed
+    by (dim, mu, width, l) alone, so no two rows of a layer share a bucket."""
+    h = min(dim, width, LAYER_ROWS)
+    bucket, sign = np.empty(dim, dtype=np.intp), np.empty(dim)
+    for layer, r in enumerate(range(0, dim, h)):
+        rng, e = np.random.default_rng((0, dim, mu, width, layer)), min(r + h, dim)
+        bucket[r:e], sign[r:e] = rng.permutation(width)[: e - r], rng.choice((-1.0, 1.0), size=e - r)
+    bucket.flags.writeable = sign.flags.writeable = False
+    return bucket, sign
 
 
 def _rank_and_sigma(r: np.ndarray, tol_rel: float, compute_uv: bool = False):

@@ -72,15 +72,14 @@ def _joint_reference(basis, state):
 
 def _count_sketch(basis, q):
     """The CountSketch the constraint pass applies to Q, as a dense matrix read
-    off hoe._row_map: row i of state mu's Re and Im halves both go, with one
-    sign, to bucket h(i), among the Re and the Im buckets respectively."""
+    off hoe._layer_maps: row i of state mu's Re and Im halves both go, with one
+    sign, to bucket b(i), among the Re and the Im buckets respectively."""
     dim, width = basis.dim, basis.n_params + q
     s = np.zeros((2 * width, 2 * dim * q))
     for mu in range(q):
-        sign, order, starts, buckets = hoe._row_map(dim, mu, width)
-        bucket = np.repeat(buckets, np.diff(np.append(starts, dim)))
+        bucket, sign = hoe._layer_maps(dim, mu, width)
         for part in (0, 1):
-            s[bucket + part * width, (2 * mu + part) * dim + order] = sign[order]
+            s[bucket + part * width, (2 * mu + part) * dim + np.arange(dim)] = sign
     return s
 
 

@@ -21,7 +21,7 @@ from chaintomo.hoe import (
 )
 from chaintomo.models import MODEL_KINDS, assemble, enumerate_terms, min_length, sample_params, term_amplitudes
 from chaintomo.pauli import action_table, commutator, string_masks, string_matrix
-from chaintomo.spectral import build_steady_state, eig_hermitian
+from chaintomo.spectral import SteadyState, build_steady_state, eig_hermitian
 
 
 def _instance(kind="h2", L=3, q=2, seed=0):
@@ -117,9 +117,10 @@ def test_diagonal_vanishes():
 def test_matrices_are_bit_identical_across_route_subsets():
     # a sweep builds both matrices in one pass, perfbench's replica each on
     # its own: both must see the same bits, or recovered vectors drift at
-    # gap > 0 cells where they follow round-off
+    # gap > 0 cells where they follow round-off; every subset walks the same
+    # row layers, which at h3table L=9 are several per state
     for kind in MODEL_KINDS:
-        for L in range(min_length(kind), 9):
+        for L in range(min_length(kind), 10):
             for q in (1, 2, 3):
                 basis, _, _, state = _instance(kind, L, q, seed=L * q)
                 g, qmat = constraint_matrices(basis, state, ("hoe", "eee"))
@@ -131,33 +132,86 @@ def test_matrices_are_bit_identical_across_route_subsets():
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), (kind, L, q)
 
 
+def _pass_bound(basis, q, methods, sketched):
+    """Bytes one pass may hold: its outputs; G's running sum and one layer's
+    product, which shares its buffer with the layer's complex gather; per
+    basis row, an index and each state's contiguous copy (and where Q is
+    sketched, each state's cached bucket and sign); and a few (h, N) layer
+    buffers. Those are 23 bytes per entry for a layer's sources and phases
+    and the temporaries that form them; where Q is not written in place, 16
+    more for the layer's Re over Im rows, and where it is sketched, 8 more
+    for the sketch rows that a layer is added into."""
+    dim, n = basis.dim, basis.n_params
+    h = min(dim, n + q, hoe.LAYER_ROWS)
+    whole_q, sketch = "eee" in methods and not sketched, "eee" in methods and sketched
+    outputs = 0 if "eee" not in methods else 2 * dim * q * (n + q) * 8 if whole_q else 2 * (n + q) ** 2 * 8
+    products = (n * n + max(n * n, 2 * h * n)) * 8
+    per_row = 8 + 16 * q * (2 if sketch else 1)
+    per_entry = 23 + (0 if whole_q else 16) + (8 if sketch else 0)
+    return outputs + products + per_row * dim + per_entry * h * n
+
+
+def _traced_peak(basis, state, methods):
+    tracemalloc.start()
+    try:
+        _, qmat = constraint_matrices(basis, state, methods)
+        return tracemalloc.get_traced_memory()[1], qmat
+    finally:
+        tracemalloc.stop()
+
+
 def test_pass_memory_stays_within_its_arrays():
-    # traced peak of one pass at h3table: its outputs, X and its running
-    # sum, and 1 MB for a chunk's sources, phases and gather buffer; neither
-    # the (2**L, N) action table (2.2 MB at L=9) nor a full complex amplitude
-    # array (2.9 MB) would fit. Where the returned Q is its 2(N + q)-row
-    # CountSketch, the joint route sketched each state's block as it was
-    # gathered: it holds the sketch, one block, and the reduceat temporaries
-    # (one half-block of signed rows, the bucket sums and the sketch rows
-    # they are added to), at most the bound of the stacked R factors it
-    # replaced at q=3. Elsewhere Q is formed whole: at L=9 q=1, Q is under
-    # twice the sketch's height
+    # traced peak of one pass at h3table, within _pass_bound: no state's
+    # 2**L-row block (6.6 MB at L=10) and no (2**L, N) action table (2.2 MB at
+    # L=9) is held. Where the returned Q is its 2(N + q)-row CountSketch, each
+    # layer was added into it as it was gathered; elsewhere Q is formed whole
+    # and the layer's rows are written straight into it: at L=9 q=1, Q is
+    # under twice the sketch's height
     for L, q, sketched in [(9, 1, False), (8, 3, True), (9, 3, True), (10, 3, True)]:
         basis, _, _, state = _instance("h3table", L, q, seed=3)
         dim, n = basis.dim, basis.n_params
-        products = 2 * n * n * 8
-        block, square = 2 * dim * (n + q) * 8, (n + q) ** 2 * 8
-        joint = 2 * square + block + (block // 2 + 2 * square) if sketched else q * block
-        for methods, held in [(("hoe", "eee"), joint), (("hoe",), 2 * dim * n * 8)]:
-            tracemalloc.start()
-            try:
-                _, qmat = constraint_matrices(basis, state, methods)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        for methods in [("hoe", "eee"), ("hoe",)]:
+            peak, qmat = _traced_peak(basis, state, methods)
             if qmat is not None:
                 assert qmat.shape[0] == (2 * (n + q) if sketched else 2 * dim * q), (L, q)
-            assert peak <= held + products + 2**20, (L, methods, peak)
+            assert peak <= _pass_bound(basis, q, methods, sketched), (L, methods, peak)
+
+
+def test_pass_memory_does_not_grow_with_the_basis():
+    # h3table L=12 q=3 on a synthetic state (orthonormal random columns, so no
+    # eigensolve runs): both passes stay within the sketch, the products and a
+    # few layers, under half of one state's 2**L-row block (32.6 MB)
+    basis = enumerate_terms("h3table", 12)
+    dim, n, q = basis.dim, basis.n_params, 3
+    rng = np.random.default_rng(12)
+    states = np.linalg.qr(rng.standard_normal((dim, q)) + 1j * rng.standard_normal((dim, q)))[0]
+    state = SteadyState(q=q, states=states, probs=np.array([0.5, 0.3, 0.2]), energies=np.arange(q, dtype=float))
+    block = 2 * dim * (n + q) * 8
+    for methods in [("hoe", "eee"), ("hoe",)]:
+        peak, qmat = _traced_peak(basis, state, methods)
+        assert qmat is None or qmat.shape == (2 * (n + q), n + q)
+        bound = _pass_bound(basis, q, methods, sketched=True)
+        assert bound < block / 2
+        assert peak <= bound, (methods, peak)
+
+
+def test_layer_maps_are_read_only_and_spread_each_layer():
+    # the cached sketch maps are shared by every later pass of the same
+    # shape, so no caller may write to them; within a layer no two rows share
+    # a bucket, and each row has a sign of +-1
+    dim, width = 512, 354
+    bucket, sign = hoe._layer_maps(dim, 1, width)
+    assert hoe._layer_maps(dim, 1, width)[0] is bucket
+    for a in (bucket, sign):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    h = min(dim, width, hoe.LAYER_ROWS)
+    assert dim > h
+    for r in range(0, dim, h):
+        assert np.unique(bucket[r : r + h]).size == min(h, dim - r)
+    assert np.all((0 <= bucket) & (bucket < width))
+    assert set(np.unique(sign)) == {-1.0, 1.0}
 
 
 def test_true_coefficients_span_the_nullspace():

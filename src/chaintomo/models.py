@@ -138,16 +138,34 @@ def term_amplitudes(basis: TermBasis, psi: np.ndarray) -> np.ndarray:
 
 
 def assemble(basis: TermBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Dense Hamiltonian sum_n coeffs[n] * term_n as a 2**L square matrix.
+    """Dense Hamiltonian sum_n coeffs[n] * term_n as a 2**L square matrix:
+    each flip group's row vector (``_flip_sums``) in one indexed write."""
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for src, summed in _flip_sums(basis, coeffs):
+        h[np.arange(basis.dim), src] = summed
+    return h
+
+
+def assemble_nonzeros(basis: TermBasis, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of ``assemble(basis, coeffs)``, with no dense H formed:
+    int32 columns, values and row starts, as ``spectral.eig_hermitian`` keeps them."""
+    cols, vals = (np.stack(part, axis=1) for part in zip(*_flip_sums(basis, coeffs)))
+    order = np.argsort(cols, axis=1)  # each row's columns ascending
+    cols, vals = (np.take_along_axis(a, order, axis=1) for a in (cols, vals))
+    keep = (vals != 0) | (cols == np.arange(basis.dim)[:, None])  # the diagonal, zero or not
+    return cols[keep], vals[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+
+
+def _flip_sums(basis: TermBasis, coeffs: np.ndarray):
+    """Yield each flip group's columns and summed row vector.
 
     Each term is a signed permutation matrix that sends row i to column
     i ^ flip, flip marking its X and Y sites (see ``TermBasis.masks``).
     The terms of one flip share their entries, so each flip group sums its
     terms, in term order, into one row vector of length 2**L, each term's
-    signs read off its sign mask, and H takes the vector in one indexed
-    write: O(N * 2**L), and no (2**L, N) array is formed. Every entry thus
-    sums its terms in a fixed order, and H is exactly Hermitian for real
-    coefficients.
+    signs read off its sign mask: O(N * 2**L), and no (2**L, N) array is
+    formed. Every entry thus sums its terms in a fixed order, and H is
+    exactly Hermitian for real coefficients.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.n_params,):
@@ -155,11 +173,8 @@ def assemble(basis: TermBasis, coeffs: np.ndarray) -> np.ndarray:
     flip, sign, n_y = basis.masks
     values = I_POWERS[n_y % 4] * coeffs  # i**n_y * a_n, exact
     rows = np.arange(basis.dim, dtype=np.int32)
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for f in dict.fromkeys(flip.tolist()):  # np.unique's first call costs 16 ms
+    for f in dict.fromkeys([0, *flip.tolist()]):  # the diagonal first, with or without terms; no np.unique (16 ms)
         src = rows ^ f
         terms = np.flatnonzero(flip == f)
         odd = np.bitwise_count(src & sign[terms, None]) & 1
-        signed = np.where(odd, -values[terms, None], values[terms, None])
-        h[rows, src] = signed.sum(axis=0)  # along axis 0: row by row, in term order
-    return h
+        yield src, np.where(odd, -values[terms, None], values[terms, None]).sum(axis=0)  # row by row, in term order

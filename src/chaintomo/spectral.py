@@ -62,6 +62,12 @@ class _RowNonzeros:
     starts: np.ndarray
     shape = property(lambda self: (self.starts.size - 1,) * 2)
     dtype = property(lambda self: self.values.dtype)
+    rows = property(lambda self: np.repeat(np.arange(self.shape[0]), np.diff(self.starts)))
+
+    def dense(self) -> np.ndarray:
+        h = np.zeros(self.shape, dtype=self.dtype)
+        h[self.rows, self.columns] = self.values
+        return h
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 2:  # column by column: one nnz-long temporary at a time
@@ -75,15 +81,20 @@ class _RowNonzeros:
 class EigDecomposition:
     """A Hermitian matrix and, on first access, its whole spectrum.
 
-    ``matrix`` is the decomposed matrix itself. ``eigenvalues`` (ascending)
-    calls ``np.linalg.eigvalsh`` the first time it is read, so a ``lowest``
-    pick that takes its states from a Lanczos run never computes the whole
-    spectrum. No eigenvectors are held: ``build_steady_state`` computes
+    ``matrix`` is the decomposed matrix itself, ``dense`` where it was
+    given so, else formed from ``nonzeros`` on first read. ``eigenvalues``
+    (ascending) calls ``np.linalg.eigvalsh`` the first time it is read, so
+    a ``lowest`` pick that takes its states from a Lanczos run reads
+    neither. No eigenvectors are held: ``build_steady_state`` computes
     them only for the states it mixes.
     """
 
-    matrix: np.ndarray
-    nonzeros: _RowNonzeros | None = None  # a copy, where at most NONZERO_SHARE of the entries
+    dense: np.ndarray | None = None
+    nonzeros: _RowNonzeros | None = None  # where at most NONZERO_SHARE of the entries
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.nonzeros.dense() if self.dense is None else self.dense
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -91,7 +102,7 @@ class EigDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self.nonzeros or self.matrix).shape[0]
 
     @property
     def spectral_range(self) -> float:
@@ -106,10 +117,9 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     not of double precision: ``build_steady_state`` shifts its diagonal
     while it solves and restores it bit for bit afterwards.
 
-    Raises ValueError when the input is not square, has a non-finite
-    entry, or departs from Hermiticity by more than 1e-12 relative to its
-    largest entry. The check makes one pass over row strips and compares
-    each nonzero with its mirror entry, as two zeros cannot depart.
+    Raises ValueError when the input is not square, or fails
+    ``_check_hermitian``. The check makes one pass over row strips and
+    compares each nonzero with its mirror entry, as two zeros cannot depart.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
@@ -117,27 +127,55 @@ def eig_hermitian(h: np.ndarray) -> EigDecomposition:
     dtype = np.result_type(h.dtype, float)
     if h.dtype != dtype or not h.flags.writeable:
         h = h.astype(dtype)
-    asym, scale, nnz, kept = 0.0, 0.0, 0, []
-    for i in range(0, h.shape[0], HERMITIAN_CHECK_ROWS):
-        strip = h[i : i + HERMITIAN_CHECK_ROWS]
-        mask = strip != 0
-        mask.flat[i :: h.shape[1] + 1] = True  # the diagonal, zero or not
-        rows, cols = np.divmod(np.flatnonzero(mask), h.shape[1])  # 5x np.nonzero(mask)'s speed
-        vals = strip[rows, cols]
-        # np.max keeps a NaN where Python's max would drop it
-        peak = float(np.max(np.abs(vals), initial=0.0))
-        if not np.isfinite(peak):
-            raise ValueError("matrix has a non-finite entry")
-        scale = max(scale, peak)
-        asym = max(asym, float(np.max(np.abs(vals - h[cols, rows + i].conj()), initial=0.0)))
-        if (nnz := nnz + vals.size) <= NONZERO_SHARE * h.size:
-            kept.append((cols.astype(np.int32), vals, np.bincount(rows, minlength=strip.shape[0])))
-    if asym > 1e-12 * max(1.0, scale):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    nnz, kept = 0, []
+
+    def strips():  # each strip's nonzeros and their mirror entries
+        nonlocal nnz
+        for i in range(0, h.shape[0], HERMITIAN_CHECK_ROWS):
+            strip = h[i : i + HERMITIAN_CHECK_ROWS]
+            mask = strip != 0
+            mask.flat[i :: h.shape[1] + 1] = True  # the diagonal, zero or not
+            rows, cols = np.divmod(np.flatnonzero(mask), h.shape[1])  # 5x np.nonzero(mask)'s speed
+            vals = strip[rows, cols]
+            yield vals, h[cols, rows + i]
+            if (nnz := nnz + vals.size) <= NONZERO_SHARE * h.size:
+                kept.append((cols.astype(np.int32), vals, np.bincount(rows, minlength=strip.shape[0])))
+
+    _check_hermitian(strips())
     if nnz > NONZERO_SHARE * h.size:
         return EigDecomposition(h)
     cols, vals, counts = (np.concatenate(part) for part in zip(*kept))
     return EigDecomposition(h, _RowNonzeros(cols, vals, np.concatenate([[0], np.cumsum(counts)])))
+
+
+def eig_nonzeros(columns: np.ndarray, values: np.ndarray, starts: np.ndarray) -> EigDecomposition:
+    """``eig_hermitian`` of the matrix whose nonzeros are given as it keeps
+    them, checked in O(nnz log nnz) and formed dense only where they are
+    more than NONZERO_SHARE of its entries."""
+    nonzeros = _RowNonzeros(columns, values, starts)
+    dim, rows = nonzeros.shape[0], nonzeros.rows
+    order = np.argsort(columns, kind="stable")  # the transpose's entries in row order
+    keys, tkeys = rows * dim + columns, columns[order] * np.int64(dim) + rows[order]  # both ascend
+    at = np.minimum(np.searchsorted(tkeys, keys), keys.size - 1)  # each entry's mirror, if kept
+    _check_hermitian([(values, np.where(tkeys[at] == keys, values[order[at]], 0))])
+    if values.size > NONZERO_SHARE * dim**2:
+        return EigDecomposition(nonzeros.dense())
+    return EigDecomposition(nonzeros=nonzeros)
+
+
+def _check_hermitian(pairs) -> None:
+    """Raise ValueError unless every entry in the (entries, mirror entries)
+    ``pairs`` is finite and within 1e-12 * max(1, max |entry|) of its
+    mirror's conjugate."""
+    asym = scale = 0.0
+    for vals, mirrors in pairs:
+        peak = float(np.max(np.abs(vals), initial=0.0))  # np.max keeps a NaN, Python's max drops it
+        if not np.isfinite(peak):
+            raise ValueError("matrix has a non-finite entry")
+        scale = max(scale, peak)
+        asym = max(asym, float(np.max(np.abs(vals - mirrors.conj()), initial=0.0)))
+    if asym > 1e-12 * max(1.0, scale):
+        raise ValueError("matrix is not Hermitian within tolerance")
 
 
 @dataclass(frozen=True)
@@ -263,7 +301,7 @@ def _lanczos(h: np.ndarray, q: int, max_steps: int) -> tuple[np.ndarray, float] 
         basis[m] = w / b
 
 
-def _certificate_factor(h: np.ndarray, x: np.ndarray, c: float, s: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _certificate_factor(h: np.ndarray | _RowNonzeros, x: np.ndarray, c: float, s: float) -> list[tuple]:
     """Cholesky factor of W = h + c XX^H - sI in packed strips, with X = ``x``.
 
     Left-looking in strips of HERMITIAN_CHECK_ROWS columns. The diagonal
@@ -273,9 +311,9 @@ def _certificate_factor(h: np.ndarray, x: np.ndarray, c: float, s: float) -> lis
     the panel solved against it by LU. Each strip keeps only the lower
     trapezoid of the factor: its diagonal block's lower triangle, packed by
     rows, and its panel. So neither a dense W nor a dense XX^H is formed,
-    and only the lower triangle of ``h`` is read. Returns ``(triangle,
-    panel)`` per strip; raises LinAlgError, as ``np.linalg.cholesky`` does,
-    unless W is positive definite.
+    and only the lower triangle of a dense ``h`` is read. Returns
+    ``(triangle, panel)`` per strip; raises LinAlgError, as
+    ``np.linalg.cholesky`` does, unless W is positive definite.
     """
     dim = h.shape[0]
     y = c * x.conj().T
@@ -283,10 +321,17 @@ def _certificate_factor(h: np.ndarray, x: np.ndarray, c: float, s: float) -> lis
     for j in range(0, dim, HERMITIAN_CHECK_ROWS):
         e = min(j + HERMITIAN_CHECK_ROWS, dim)
         block = x[j:e] @ y[:, j:e]
-        block += h[j:e, j:e]
-        block.flat[:: e - j + 1] -= s
         panel = x[e:] @ y[:, j:e]
-        panel += h[e:, j:e]
+        if isinstance(h, np.ndarray):
+            block += h[j:e, j:e]
+            panel += h[e:, j:e]
+        else:  # rows j:e of the nonzeros: the block, and the panel by Hermiticity
+            part = slice(h.starts[j], h.starts[e])
+            r, col, val = np.repeat(np.arange(e - j), np.diff(h.starts[j : e + 1])), h.columns[part], h.values[part]
+            inside, below = (col >= j) & (col < e), col >= e
+            block[r[inside], col[inside] - j] += val[inside]
+            panel[col[below] - e, r[below]] += val[below].conj()
+        block.flat[:: e - j + 1] -= s
         # the panel of the strip ending at column k holds rows k: of the factor
         for k, (_, done) in zip(range(HERMITIAN_CHECK_ROWS, j + 1, HERMITIAN_CHECK_ROWS), strips):
             lead = done[j - k : e - k]
@@ -308,12 +353,10 @@ def _krylov_lowest(eig: EigDecomposition, q: int) -> tuple[np.ndarray, np.ndarra
     DEGENERACY_RTOL * range, H + (2 range + 1) XX^H - s I is positive
     definite, that is Cholesky succeeds, only when H has no eigenvalue at
     or below s outside the span of X. It is factored in dense packed
-    strips, each formed from H, X and s when it is reached
-    (``_certificate_factor``): beside H the certificate holds about half
-    a dense matrix, and H is only read. So at h3table L=10 the steady
-    state allocates 8.8 MiB beside H, where a whole ``np.linalg.cholesky``
-    took 32.1. Returns ``(energies, states, spread)``; None when the run
-    does not converge or the certificate fails.
+    strips, each formed from H (or its nonzeros), X and s when it is
+    reached (``_certificate_factor``): the certificate holds about half a
+    dense matrix, and H is only read. Returns ``(energies, states,
+    spread)``; None when the run does not converge or the certificate fails.
     """
     op = eig.nonzeros or eig.matrix
     run = _lanczos(op, q, eig.dim)
@@ -322,7 +365,7 @@ def _krylov_lowest(eig: EigDecomposition, q: int) -> tuple[np.ndarray, np.ndarra
     ritz, spread = run
     energies, states = _rayleigh_ritz(op, ritz)
     try:
-        _certificate_factor(eig.matrix, states, 2 * spread + 1, energies[-1] + DEGENERACY_RTOL * spread)
+        _certificate_factor(op, states, 2 * spread + 1, energies[-1] + DEGENERACY_RTOL * spread)
     except np.linalg.LinAlgError:
         return None
     return energies, states, spread

@@ -11,6 +11,7 @@ from chaintomo.models import (
     FAMILIES,
     MODEL_KINDS,
     assemble,
+    assemble_nonzeros,
     enumerate_terms,
     min_length,
     param_count,
@@ -18,6 +19,7 @@ from chaintomo.models import (
     term_amplitudes,
 )
 from chaintomo.pauli import action_table, string_masks, string_matrix
+from chaintomo.spectral import eig_hermitian
 
 from reference_grids import (
     H2_PARAM_COUNT,
@@ -191,6 +193,44 @@ def test_assemble_holds_little_beside_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * h.nbytes, peak / h.nbytes
+
+
+def test_assemble_nonzeros_are_the_kept_nonzeros_byte_for_byte():
+    # wherever eig_hermitian keeps a dense H's nonzeros, the mask-built
+    # nonzeros are the same bytes: int32 columns ascending per row, the whole
+    # diagonal, no exact zero off it, and int64 row starts
+    checked = []
+    for kind in MODEL_KINDS:
+        for L in range(min_length(kind), 12):
+            basis = enumerate_terms(kind, L)
+            for seed in (0, 1):
+                coeffs = sample_params(basis, seed)
+                kept = eig_hermitian(assemble(basis, coeffs)).nonzeros
+                if kept is None:
+                    continue
+                built = assemble_nonzeros(basis, coeffs)
+                for name, got in zip(("columns", "values", "starts"), built):
+                    expected = getattr(kept, name)
+                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (kind, L, seed, name)
+                checked.append((kind, L))
+    assert {("h2", 8), ("h2prime", 9), ("h3", 9), ("h3table", 9), ("h3table", 11)} <= set(checked)
+
+
+def test_assemble_nonzeros_keep_the_diagonal_and_drop_exact_zeros():
+    # with every diagonal term's coefficient 0 the diagonal is kept as
+    # zeros, and X_1 and X_1 Z_2 with one coefficient cancel exactly on the
+    # rows where Z_2 reads -1
+    basis = enumerate_terms("h2", 8)
+    coeffs = sample_params(basis, 2)
+    coeffs[basis.masks[0] == 0] = 0.0
+    ops = [term.ops for term in basis.terms]
+    coeffs[ops.index("XZ" + "I" * 6)] = coeffs[ops.index("X" + "I" * 7)]
+    h = assemble(basis, coeffs)
+    assert not h.diagonal().any() and np.count_nonzero(h) < np.count_nonzero(assemble(basis, sample_params(basis, 2)))
+    columns, values, starts = assemble_nonzeros(basis, coeffs)
+    rows = np.repeat(np.arange(basis.dim), np.diff(starts))
+    assert np.array_equal(rows * basis.dim + columns, np.flatnonzero((h != 0) | np.eye(basis.dim, dtype=bool)))
+    assert np.array_equal(values, h[rows, columns])
 
 
 def test_assemble_validates_length():

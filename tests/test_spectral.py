@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chaintomo import spectral
-from chaintomo.models import assemble, enumerate_terms, min_length, sample_params
+from chaintomo.models import assemble, assemble_nonzeros, enumerate_terms, min_length, sample_params
 from chaintomo.pauli import string_matrix
 from chaintomo.spectral import (
     HERMITIAN_CHECK_ROWS,
@@ -15,6 +15,7 @@ from chaintomo.spectral import (
     DegenerateSpectrumError,
     build_steady_state,
     eig_hermitian,
+    eig_nonzeros,
 )
 
 
@@ -169,6 +170,17 @@ def _same_decision(h, x, c, s):
     try:
         strips = spectral._certificate_factor(h, x, c, s)
     except np.linalg.LinAlgError:
+        strips = None
+    nonzeros = eig_hermitian(h).nonzeros
+    if nonzeros is not None:  # rows of H's nonzeros give the same factor, bit for bit
+        try:
+            sparse = spectral._certificate_factor(nonzeros, x, c, s)
+        except np.linalg.LinAlgError:
+            sparse = None
+        assert (sparse is None) == (strips is None)
+        for got, want in zip(sparse or [], strips or []):
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    if strips is None:
         assert expected is None
         return False
     assert expected is not None
@@ -380,6 +392,51 @@ def test_hermiticity_check_decides_as_the_strip_predicate():
             assert _check_message(bad) == expected, (h.shape, i, j, change)
             decided.append(expected)
     assert {None, "matrix has a non-finite entry", "matrix is not Hermitian within tolerance"} == set(decided)
+
+
+def test_nonzeros_check_decides_as_the_dense_check():
+    # eig_nonzeros reads each entry against its mirror, or 0 where the
+    # mirror is not kept, with eig_hermitian's predicate: a NaN or infinite
+    # value, a mirror departing by more than 1e-12 * max(1, max|h|) and a
+    # dropped mirror raise as they do on the dense matrix; round-off passes
+    basis = enumerate_terms("h3table", 9)
+    coeffs = sample_params(basis, 4)
+    columns, values, starts = assemble_nonzeros(basis, coeffs)
+    h = assemble(basis, coeffs)
+    eig = eig_nonzeros(columns, values, starts)
+    assert eig.dense is None and eig.dim == 512 and eig.nonzeros.values is values
+    scale = np.max(np.abs(values))
+    k = int(starts[300]) + 3  # an entry off the diagonal
+    for change in (1e-13 * scale, 1e-9 * scale, 1e-9j * scale, np.nan, np.inf, complex(0, -np.inf)):
+        bad = values.copy()
+        bad[k] = bad[k] + change if np.isfinite(change) else change
+        dense = h.copy()
+        dense[300, columns[k]] = bad[k]
+        expected = _check_message(dense)
+        try:
+            eig_nonzeros(columns, bad, starts)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, change
+    # the entry dropped: its mirror is read against 0
+    keep = np.arange(values.size) != k
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_nonzeros(columns[keep], values[keep], np.concatenate([starts[:301], starts[301:] - 1]))
+
+
+def test_nonzeros_decomposition_forms_the_dense_matrix_only_on_demand():
+    # above NONZERO_SHARE (h3table L=8, 11%) the nonzeros are formed dense at
+    # once, as eig_hermitian keeps no nonzeros there; below it the dense
+    # matrix is formed on first read, byte for byte assemble's
+    for L, kept in ((8, False), (9, True)):
+        basis = enumerate_terms("h3table", L)
+        coeffs = sample_params(basis, 1)
+        eig = eig_nonzeros(*assemble_nonzeros(basis, coeffs))
+        assert (eig.nonzeros is not None) == kept and (eig.dense is None) == kept
+        assert "matrix" not in vars(eig) or not kept
+        assert eig.matrix.tobytes() == assemble(basis, coeffs).tobytes()
+        assert eig.matrix is eig.matrix and eig.matrix.flags.writeable
 
 
 def test_nonzeros_are_kept_up_to_their_share():

@@ -235,9 +235,8 @@ def draw_instance(model: str, L: int, q: int, seed: int, trial_index: int,
                   selection: str) -> tuple[models.TermBasis, np.ndarray, spectral.SteadyState | None, int]:
     """Draw the seeded random instance of one trial: basis, true coefficients, steady state.
 
-    A ``lowest`` pick from dimension ``spectral.KRYLOV_MIN_DIM`` decomposes H
-    from its nonzeros (``models.assemble_nonzeros``), never formed dense
-    unless they are too many or the dense path must run. A degenerate
+    H is decomposed from its flip form (``models.flip_form``), formed dense
+    only where its flips are too many or the dense path must run. A degenerate
     eigenvalue pick resamples the Hamiltonian on a fresh retry stream, at
     most MAX_DEGENERACY_RETRIES times. Returns
     ``(basis, a_true, state, retry)``; ``state`` is None when every pick was
@@ -247,10 +246,7 @@ def draw_instance(model: str, L: int, q: int, seed: int, trial_index: int,
     for retry in range(MAX_DEGENERACY_RETRIES + 1):
         param_stream, state_stream = trial_seed(seed, model, L, q, trial_index, retry).spawn(2)
         a_true = models.sample_params(basis, param_stream)
-        if selection == "lowest" and basis.dim >= spectral.KRYLOV_MIN_DIM:
-            eig = spectral.eig_nonzeros(*models.assemble_nonzeros(basis, a_true))
-        else:
-            eig = spectral.eig_hermitian(models.assemble(basis, a_true))
+        eig = spectral.eig_hermitian(models.flip_form(basis, a_true))
         try:
             return basis, a_true, spectral.build_steady_state(eig, q, selection, state_stream), retry
         except spectral.DegenerateSpectrumError:

@@ -189,6 +189,8 @@ def _rank_and_sigma(r: np.ndarray, tol_rel: float, compute_uv: bool = False):
     and with ``compute_uv`` the full V^T as well."""
     if not 0 < tol_rel < 1:  # a cut at or above sigma_0 keeps nothing
         raise ValueError(f"tol_rel must lie strictly between 0 and 1, got {tol_rel}")
+    if not np.isfinite(r).all():  # from a NaN or infinity in m, which the SVD hangs on or misreads
+        raise ValueError("constraint matrix has a non-finite entry")
     out = np.linalg.svd(r, compute_uv=compute_uv)
     sigma = np.pad(out[1] if compute_uv else out, (0, r.shape[1] - r.shape[0]))
     rank = int(np.count_nonzero(sigma > tol_rel * sigma[0]))
@@ -257,7 +259,7 @@ def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, np
     R (a wide one, or two or more small diagonal entries), any other rank,
     or a rejected step takes the full SVD of R, which gives the rank and
     the nullspace basis at once (the trailing rows of V^T). Raises
-    DegenerateRecoveryError when m has full column rank.
+    DegenerateRecoveryError at full column rank, ValueError at a non-finite m.
     """
     r = np.linalg.qr(np.atleast_2d(m), mode="r")
     n = r.shape[1]
@@ -275,7 +277,7 @@ def nullspace(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> tuple[int, np
 
 
 def numeric_rank(m: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> int:
-    """Count of singular values above tol_rel times the largest one."""
+    """Count of singular values above tol_rel times the largest one; ValueError at a non-finite m."""
     return _rank_and_sigma(np.linalg.qr(np.atleast_2d(m), mode="r"), tol_rel)[0]
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import I_POWERS, PauliString, row_action, string_masks
+from .spectral import FlipOperator
 
 FAMILIES = {
     "h2": ((0,), (0, 1)),
@@ -139,42 +140,32 @@ def term_amplitudes(basis: TermBasis, psi: np.ndarray) -> np.ndarray:
 
 def assemble(basis: TermBasis, coeffs: np.ndarray) -> np.ndarray:
     """Dense Hamiltonian sum_n coeffs[n] * term_n as a 2**L square matrix:
-    each flip group's row vector (``_flip_sums``) in one indexed write."""
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for src, summed in _flip_sums(basis, coeffs):
-        h[np.arange(basis.dim), src] = summed
-    return h
+    its flip form written in one indexed write."""
+    return flip_form(basis, coeffs).dense()
 
 
-def assemble_nonzeros(basis: TermBasis, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of ``assemble(basis, coeffs)``, with no dense H formed:
-    int32 columns, values and row starts, as ``spectral.eig_hermitian`` keeps them."""
-    cols, vals = (np.stack(part, axis=1) for part in zip(*_flip_sums(basis, coeffs)))
-    order = np.argsort(cols, axis=1)  # each row's columns ascending
-    cols, vals = (np.take_along_axis(a, order, axis=1) for a in (cols, vals))
-    keep = (vals != 0) | (cols == np.arange(basis.dim)[:, None])  # the diagonal, zero or not
-    return cols[keep], vals[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-
-
-def _flip_sums(basis: TermBasis, coeffs: np.ndarray):
-    """Yield each flip group's columns and summed row vector.
+def flip_form(basis: TermBasis, coeffs: np.ndarray) -> FlipOperator:
+    """The Hamiltonian sum_n coeffs[n] * term_n in flip form, flips ascending from 0.
 
     Each term is a signed permutation matrix that sends row i to column
-    i ^ flip, flip marking its X and Y sites (see ``TermBasis.masks``).
-    The terms of one flip share their entries, so each flip group sums its
-    terms, in term order, into one row vector of length 2**L, each term's
-    signs read off its sign mask: O(N * 2**L), and no (2**L, N) array is
-    formed. Every entry thus sums its terms in a fixed order, and H is
-    exactly Hermitian for real coefficients.
+    i ^ flip, flip marking its X and Y sites (see ``TermBasis.masks``), so
+    each flip group sums its terms, in term order, into one row vector of
+    length 2**L, each term's signs read off its sign mask: O(N * 2**L), and
+    neither a dense H nor a (2**L, N) array is formed. H is thus exactly
+    Hermitian for real coefficients; complex ones raise ValueError.
     """
+    if np.iscomplexobj(coeffs):
+        raise ValueError("coefficients must be real")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.n_params,):
         raise ValueError(f"expected {basis.n_params} coefficients, got shape {coeffs.shape}")
     flip, sign, n_y = basis.masks
     values = I_POWERS[n_y % 4] * coeffs  # i**n_y * a_n, exact
     rows = np.arange(basis.dim, dtype=np.int32)
-    for f in dict.fromkeys([0, *flip.tolist()]):  # the diagonal first, with or without terms; no np.unique (16 ms)
-        src = rows ^ f
+    flips = sorted({0, *flip.tolist()})  # 0 for the diagonal, with or without terms; no np.unique (16 ms)
+    diags = np.empty((len(flips), basis.dim), dtype=complex)
+    for k, f in enumerate(flips):
         terms = np.flatnonzero(flip == f)
-        odd = np.bitwise_count(src & sign[terms, None]) & 1
-        yield src, np.where(odd, -values[terms, None], values[terms, None]).sum(axis=0)  # row by row, in term order
+        odd = np.bitwise_count((rows ^ f) & sign[terms, None]) & 1
+        diags[k] = np.where(odd, -values[terms, None], values[terms, None]).sum(axis=0)  # row by row, in term order
+    return FlipOperator(np.array(flips), diags)

@@ -41,8 +41,8 @@ KRYLOV_CHECK_STEPS = 10
 # per strip of the certificate's factorization (``_certificate_factor``)
 HERMITIAN_CHECK_ROWS = 128
 
-# share of its entries up to which ``eig_hermitian`` keeps a matrix's
-# nonzeros for the Lanczos products: h2 from L = 8, h3table from L = 9
+# share of its rows up to which a matrix's flips may number for ``eig_hermitian`` to keep
+# its flip form for the Lanczos products: h2 from L = 8, the other families from L = 9
 NONZERO_SHARE = 1 / 16
 
 
@@ -52,29 +52,32 @@ class DegenerateSpectrumError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _RowNonzeros:
-    """A matrix's nonzeros and diagonal, so that no row is empty, in row
-    order: int32 columns, values and row starts (compressed sparse rows; Saad,
-    Numerical Methods for Large Eigenvalue Problems, 2nd ed., 2011)."""
+class FlipOperator:
+    """A matrix of 2**L rows as sum_k D_k P_k: P_k sends column i ^ flips[k]
+    to row i and D_k is diagonal, so that H[i, i ^ flips[k]] = diags[k][i],
+    with ``flips`` ascending from 0. A Pauli string is one signed such P, so
+    a sum of them holds one row vector per flip."""
 
-    columns: np.ndarray
-    values: np.ndarray
-    starts: np.ndarray
-    shape = property(lambda self: (self.starts.size - 1,) * 2)
-    dtype = property(lambda self: self.values.dtype)
-    rows = property(lambda self: np.repeat(np.arange(self.shape[0]), np.diff(self.starts)))
+    flips: np.ndarray
+    diags: np.ndarray
+    shape = property(lambda self: (self.diags.shape[1],) * 2)
+    dtype = property(lambda self: self.diags.dtype)
+
+    @cached_property
+    def sources(self) -> np.ndarray:  # i ^ flips[k], shape (F, 2**L)
+        return np.arange(self.shape[0]) ^ self.flips[:, None]
 
     def dense(self) -> np.ndarray:
         h = np.zeros(self.shape, dtype=self.dtype)
-        h[self.rows, self.columns] = self.values
+        h[np.arange(self.shape[0]), self.sources] = self.diags
         return h
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:  # column by column: one nnz-long temporary at a time
+        if x.ndim == 2:  # column by column: one (F, 2**L) temporary at a time
             return np.stack([self @ col for col in x.T], axis=1)
-        terms = np.take(x, self.columns).astype(np.result_type(x, self.dtype), copy=False)
-        terms *= self.values
-        return np.add.reduceat(terms, self.starts[:-1])
+        terms = np.take(x, self.sources).astype(np.result_type(x, self.dtype), copy=False)
+        terms *= self.diags
+        return terms.sum(axis=0)  # in flip order
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ class EigDecomposition:
     """A Hermitian matrix and, on first access, its whole spectrum.
 
     ``matrix`` is the decomposed matrix itself, ``dense`` where it was
-    given so, else formed from ``nonzeros`` on first read. ``eigenvalues``
+    given so, else formed from ``flip_form`` on first read. ``eigenvalues``
     (ascending) calls ``np.linalg.eigvalsh`` the first time it is read, so
     a ``lowest`` pick that takes its states from a Lanczos run reads
     neither. No eigenvectors are held: ``build_steady_state`` computes
@@ -90,11 +93,11 @@ class EigDecomposition:
     """
 
     dense: np.ndarray | None = None
-    nonzeros: _RowNonzeros | None = None  # where at most NONZERO_SHARE of the entries
+    flip_form: FlipOperator | None = None  # where its flips number at most NONZERO_SHARE of the rows
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.nonzeros.dense() if self.dense is None else self.dense
+        return self.flip_form.dense() if self.dense is None else self.dense
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -102,65 +105,53 @@ class EigDecomposition:
 
     @property
     def dim(self) -> int:
-        return (self.nonzeros or self.matrix).shape[0]
+        return (self.flip_form or self.matrix).shape[0]
 
     @property
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
 
-def eig_hermitian(h: np.ndarray) -> EigDecomposition:
-    """Wrap a Hermitian matrix for ``build_steady_state``; its eigenvalues
-    are computed on first access.
+def eig_hermitian(h: np.ndarray | FlipOperator) -> EigDecomposition:
+    """Check a Hermitian matrix, dense or in flip form, and wrap it for
+    ``build_steady_state``; its eigenvalues are computed on first access.
 
-    The matrix is wrapped as it is, not copied, unless it is read-only or
-    not of double precision: ``build_steady_state`` shifts its diagonal
-    while it solves and restores it bit for bit afterwards.
-
-    Raises ValueError when the input is not square, or fails
-    ``_check_hermitian``. The check makes one pass over row strips and
-    compares each nonzero with its mirror entry, as two zeros cannot depart.
+    A dense matrix is wrapped as it is unless read-only or not of double
+    precision, as ``build_steady_state`` shifts its diagonal and restores
+    it bit for bit. Of 2**L rows it gets its flip form, read off the XORs of
+    its nonzeros' rows and columns, where that is within NONZERO_SHARE:
+    byte for byte ``models.flip_form``'s, with the same products. A flip
+    form is checked flip by flip, each entry against its mirror, which
+    checks the whole matrix, as each nonzero lies in one flip with its
+    mirror; any other matrix is checked row strip against column strip. A
+    flip form given with more flips is formed dense at once. Raises
+    ValueError when the input is not square or fails ``_check_hermitian``.
     """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
-    dtype = np.result_type(h.dtype, float)
-    if h.dtype != dtype or not h.flags.writeable:
-        h = h.astype(dtype)
-    nnz, kept = 0, []
-
-    def strips():  # each strip's nonzeros and their mirror entries
-        nonlocal nnz
-        for i in range(0, h.shape[0], HERMITIAN_CHECK_ROWS):
-            strip = h[i : i + HERMITIAN_CHECK_ROWS]
-            mask = strip != 0
-            mask.flat[i :: h.shape[1] + 1] = True  # the diagonal, zero or not
-            rows, cols = np.divmod(np.flatnonzero(mask), h.shape[1])  # 5x np.nonzero(mask)'s speed
-            vals = strip[rows, cols]
-            yield vals, h[cols, rows + i]
-            if (nnz := nnz + vals.size) <= NONZERO_SHARE * h.size:
-                kept.append((cols.astype(np.int32), vals, np.bincount(rows, minlength=strip.shape[0])))
-
-    _check_hermitian(strips())
-    if nnz > NONZERO_SHARE * h.size:
-        return EigDecomposition(h)
-    cols, vals, counts = (np.concatenate(part) for part in zip(*kept))
-    return EigDecomposition(h, _RowNonzeros(cols, vals, np.concatenate([[0], np.cumsum(counts)])))
-
-
-def eig_nonzeros(columns: np.ndarray, values: np.ndarray, starts: np.ndarray) -> EigDecomposition:
-    """``eig_hermitian`` of the matrix whose nonzeros are given as it keeps
-    them, checked in O(nnz log nnz) and formed dense only where they are
-    more than NONZERO_SHARE of its entries."""
-    nonzeros = _RowNonzeros(columns, values, starts)
-    dim, rows = nonzeros.shape[0], nonzeros.rows
-    order = np.argsort(columns, kind="stable")  # the transpose's entries in row order
-    keys, tkeys = rows * dim + columns, columns[order] * np.int64(dim) + rows[order]  # both ascend
-    at = np.minimum(np.searchsorted(tkeys, keys), keys.size - 1)  # each entry's mirror, if kept
-    _check_hermitian([(values, np.where(tkeys[at] == keys, values[order[at]], 0))])
-    if values.size > NONZERO_SHARE * dim**2:
-        return EigDecomposition(nonzeros.dense())
-    return EigDecomposition(nonzeros=nonzeros)
+    if isinstance(h, FlipOperator):
+        h, form = None, h
+    else:
+        h = np.asarray(h)
+        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+            raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
+        dtype = np.result_type(h.dtype, float)
+        if h.dtype != dtype or not h.flags.writeable:
+            h = h.astype(dtype)
+        dim, strips = h.shape[0], range(0, h.shape[0], HERMITIAN_CHECK_ROWS)
+        counts = np.zeros(dim, dtype=np.intp)  # rows per flip, of 2**L rows only, until they are too many
+        for i in strips:
+            if dim & (dim - 1) == 0 and np.count_nonzero(counts) <= NONZERO_SHARE * dim:
+                rows, cols = np.divmod(np.flatnonzero(h[i : i + HERMITIAN_CHECK_ROWS] != 0), dim)
+                counts += np.bincount((rows + i) ^ cols, minlength=dim)
+        counts[0] = 1  # the diagonal, zero or not
+        flips = np.flatnonzero(counts)
+        if dim & (dim - 1) or flips.size > NONZERO_SHARE * dim:
+            _check_hermitian((h[i : i + HERMITIAN_CHECK_ROWS], h[:, i : i + HERMITIAN_CHECK_ROWS].T) for i in strips)
+            return EigDecomposition(h)
+        form = FlipOperator(flips, h[np.arange(dim), np.arange(dim) ^ flips[:, None]])
+    _check_hermitian([(form.diags, np.take_along_axis(form.diags, form.sources, axis=1))])
+    if form.flips.size > NONZERO_SHARE * form.shape[0]:
+        return EigDecomposition(form.dense())
+    return EigDecomposition(h, form)
 
 
 def _check_hermitian(pairs) -> None:
@@ -301,7 +292,7 @@ def _lanczos(h: np.ndarray, q: int, max_steps: int) -> tuple[np.ndarray, float] 
         basis[m] = w / b
 
 
-def _certificate_factor(h: np.ndarray | _RowNonzeros, x: np.ndarray, c: float, s: float) -> list[tuple]:
+def _certificate_factor(h: np.ndarray | FlipOperator, x: np.ndarray, c: float, s: float) -> list[tuple]:
     """Cholesky factor of W = h + c XX^H - sI in packed strips, with X = ``x``.
 
     Left-looking in strips of HERMITIAN_CHECK_ROWS columns. The diagonal
@@ -325,9 +316,9 @@ def _certificate_factor(h: np.ndarray | _RowNonzeros, x: np.ndarray, c: float, s
         if isinstance(h, np.ndarray):
             block += h[j:e, j:e]
             panel += h[e:, j:e]
-        else:  # rows j:e of the nonzeros: the block, and the panel by Hermiticity
-            part = slice(h.starts[j], h.starts[e])
-            r, col, val = np.repeat(np.arange(e - j), np.diff(h.starts[j : e + 1])), h.columns[part], h.values[part]
+        else:  # each flip's entries of rows j:e: in the block, or conjugated in the panel
+            col, val = h.sources[:, j:e], h.diags[:, j:e]
+            r = np.broadcast_to(np.arange(e - j), col.shape)
             inside, below = (col >= j) & (col < e), col >= e
             block[r[inside], col[inside] - j] += val[inside]
             panel[col[below] - e, r[below]] += val[below].conj()
@@ -347,18 +338,18 @@ def _krylov_lowest(eig: EigDecomposition, q: int) -> tuple[np.ndarray, np.ndarra
     """The q lowest eigenpairs of H = ``eig.matrix`` and its spectral range, or None.
 
     The pairs come from a Lanczos run and a q x q Rayleigh-Ritz step, both
-    multiplying through ``eig.nonzeros`` where it is kept, and are returned
+    multiplying through ``eig.flip_form`` where it is kept, and are returned
     only when a certificate shows that no eigenvalue was missed: with X the
     q Ritz vectors, theta_q the largest Ritz value and s = theta_q +
     DEGENERACY_RTOL * range, H + (2 range + 1) XX^H - s I is positive
     definite, that is Cholesky succeeds, only when H has no eigenvalue at
     or below s outside the span of X. It is factored in dense packed
-    strips, each formed from H (or its nonzeros), X and s when it is
+    strips, each formed from H (or its flip form), X and s when it is
     reached (``_certificate_factor``): the certificate holds about half a
     dense matrix, and H is only read. Returns ``(energies, states,
     spread)``; None when the run does not converge or the certificate fails.
     """
-    op = eig.nonzeros or eig.matrix
+    op = eig.flip_form or eig.matrix
     run = _lanczos(op, q, eig.dim)
     if run is None:
         return None

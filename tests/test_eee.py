@@ -170,6 +170,12 @@ def test_input_validation():
     for tol in (0.0, -1.0, float("inf"), 1.0, 2.0):
         with pytest.raises(ValueError):
             eee.recover(np.eye(4)[:3], 2, tol_rel=tol)
+    for bad in (np.nan, np.inf, -np.inf):
+        for qmat in (np.eye(4)[:3], np.eye(4)):
+            qmat = qmat.copy()
+            qmat[1, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                eee.recover(qmat, 2)
 
 
 def test_vanishing_coefficient_block_is_rejected():

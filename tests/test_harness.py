@@ -535,16 +535,16 @@ def test_routes_match_the_public_builders_bit_for_bit(model, L, q, sketched):
 
 @pytest.mark.parametrize("model,L,q", [("h3table", 9, 3), ("h2", 10, 2), ("h3table", 10, 3), ("h3", 9, 2)])
 def test_draw_instance_matches_the_public_steady_state_bit_for_bit(model, L, q):
-    # perfbench's traced replica draws through eig_hermitian and
-    # build_steady_state on the trial's own seed streams, where the program
-    # builds H's nonzeros from the term masks; at these cells H is kept by
-    # its nonzeros (h3 L=9 at exactly NONZERO_SHARE), and the states must
-    # not differ in a bit
+    # perfbench's traced replica draws through eig_hermitian of the dense H
+    # and build_steady_state on the trial's own seed streams, where the
+    # program builds H's flip form from the term masks; at these cells both
+    # keep H's nonzeros in that flip form (h3 L=9 at exactly NONZERO_SHARE),
+    # and the states must not differ in a bit
     basis, a_true, state, retry = harness.draw_instance(model, L, q, 1, 0, "lowest")
     param_stream, state_stream = trial_seed(1, model, L, q, 0, retry).spawn(2)
     assert np.array_equal(models.sample_params(basis, param_stream), a_true)
     eig = spectral.eig_hermitian(models.assemble(basis, a_true))
-    assert eig.nonzeros is not None
+    assert eig.flip_form is not None
     replica = spectral.build_steady_state(eig, q, "lowest", state_stream)
     for field in ("states", "energies", "probs"):
         assert np.array_equal(getattr(state, field), getattr(replica, field)), field
@@ -569,15 +569,15 @@ def test_lowest_draw_forms_no_dense_hamiltonian(monkeypatch):
 
 def test_failed_lanczos_pick_forms_h_from_its_nonzeros(monkeypatch):
     # with the Lanczos pick forced to fail, the dense step forms H from its
-    # nonzeros, byte for byte assemble's, and picks the states the dense
-    # step picks on eig_hermitian(assemble(...))
+    # nonzeros in flip form, byte for byte assemble's, and picks the states
+    # the dense step picks on eig_hermitian(assemble(...))
     monkeypatch.setattr(spectral, "_krylov_lowest", lambda eig, q: None)
     decomposed, build = [], spectral.build_steady_state
     monkeypatch.setattr(spectral, "build_steady_state", lambda eig, *args: decomposed.append(eig) or build(eig, *args))
     basis, a_true, state, retry = harness.draw_instance("h3table", 9, 3, 1, 0, "lowest")
     eig = decomposed[-1]
     h = models.assemble(basis, a_true)
-    assert eig.dense is None and eig.nonzeros is not None and eig.matrix.tobytes() == h.tobytes()
+    assert eig.dense is None and eig.flip_form is not None and eig.matrix.tobytes() == h.tobytes()
     state_stream = trial_seed(1, "h3table", 9, 3, 0, retry).spawn(2)[1]
     replica = build(spectral.eig_hermitian(h), 3, "lowest", state_stream)
     for field in ("states", "energies", "probs"):

@@ -322,6 +322,16 @@ def test_recover_input_validation():
             recover(np.eye(3), tol_rel=tol)
         with pytest.raises(ValueError):
             nullspace(np.eye(3), tol_rel=tol)
+    # a non-finite entry is refused before the SVD: a wide matrix with an
+    # infinity once hung in it, a square one read rank 0, a NaN raised
+    # LinAlgError
+    for bad in (np.nan, np.inf, -np.inf):
+        for m in (np.eye(4)[:3], np.eye(2), np.eye(3)):
+            m = m.copy()
+            m[0, 0] = bad
+            for call in (recover, nullspace, numeric_rank):
+                with pytest.raises(ValueError, match="non-finite"):
+                    call(m)
 
 
 def _canonical_reference(m):

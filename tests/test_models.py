@@ -11,8 +11,8 @@ from chaintomo.models import (
     FAMILIES,
     MODEL_KINDS,
     assemble,
-    assemble_nonzeros,
     enumerate_terms,
+    flip_form,
     min_length,
     param_count,
     sample_params,
@@ -174,7 +174,7 @@ def _scatter_reference(basis, coeffs):
 def test_assemble_is_bit_identical_to_the_term_scatter():
     # summing each flip group first keeps every entry's sum in term order
     for kind in MODEL_KINDS:
-        for L in range(min_length(kind), 9):
+        for L in range(min_length(kind), 12):
             basis = enumerate_terms(kind, L)
             coeffs = sample_params(basis, L)
             assert np.array_equal(assemble(basis, coeffs), _scatter_reference(basis, coeffs)), (kind, L)
@@ -195,48 +195,64 @@ def test_assemble_holds_little_beside_its_output():
     assert peak <= 1.1 * h.nbytes, peak / h.nbytes
 
 
-def test_assemble_nonzeros_are_the_kept_nonzeros_byte_for_byte():
-    # wherever eig_hermitian keeps a dense H's nonzeros, the mask-built
-    # nonzeros are the same bytes: int32 columns ascending per row, the whole
-    # diagonal, no exact zero off it, and int64 row starts
+def test_derived_flip_form_is_flip_form_byte_for_byte():
+    # wherever eig_hermitian keeps the flip form it derives from a dense H,
+    # that form is the mask-built one, the same bytes: int64 flips ascending
+    # from 0 and one complex row vector per flip; where it keeps none, the
+    # mask-built form is not kept either
     checked = []
     for kind in MODEL_KINDS:
         for L in range(min_length(kind), 12):
             basis = enumerate_terms(kind, L)
             for seed in (0, 1):
                 coeffs = sample_params(basis, seed)
-                kept = eig_hermitian(assemble(basis, coeffs)).nonzeros
+                built = flip_form(basis, coeffs)
+                kept = eig_hermitian(assemble(basis, coeffs)).flip_form
+                assert (kept is None) == (eig_hermitian(built).flip_form is None), (kind, L, seed)
                 if kept is None:
                     continue
-                built = assemble_nonzeros(basis, coeffs)
-                for name, got in zip(("columns", "values", "starts"), built):
-                    expected = getattr(kept, name)
+                for name in ("flips", "diags"):
+                    got, expected = getattr(built, name), getattr(kept, name)
                     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (kind, L, seed, name)
                 checked.append((kind, L))
     assert {("h2", 8), ("h2prime", 9), ("h3", 9), ("h3table", 9), ("h3table", 11)} <= set(checked)
 
 
-def test_assemble_nonzeros_keep_the_diagonal_and_drop_exact_zeros():
-    # with every diagonal term's coefficient 0 the diagonal is kept as
+def test_flip_form_keeps_the_diagonal_and_exact_zeros():
+    # with every diagonal term's coefficient 0 the diagonal flip is kept as
     # zeros, and X_1 and X_1 Z_2 with one coefficient cancel exactly on the
-    # rows where Z_2 reads -1
+    # rows where Z_2 reads -1, leaving zeros in their flip's row vector;
+    # the form derived from the dense H holds the same bytes, and both
+    # multiply as H does
     basis = enumerate_terms("h2", 8)
     coeffs = sample_params(basis, 2)
     coeffs[basis.masks[0] == 0] = 0.0
     ops = [term.ops for term in basis.terms]
     coeffs[ops.index("XZ" + "I" * 6)] = coeffs[ops.index("X" + "I" * 7)]
-    h = assemble(basis, coeffs)
+    built = flip_form(basis, coeffs)
+    h = built.dense()
     assert not h.diagonal().any() and np.count_nonzero(h) < np.count_nonzero(assemble(basis, sample_params(basis, 2)))
-    columns, values, starts = assemble_nonzeros(basis, coeffs)
-    rows = np.repeat(np.arange(basis.dim), np.diff(starts))
-    assert np.array_equal(rows * basis.dim + columns, np.flatnonzero((h != 0) | np.eye(basis.dim, dtype=bool)))
-    assert np.array_equal(values, h[rows, columns])
+    assert built.flips[0] == 0 and not built.diags[0].any() and 0 < np.count_nonzero(built.diags == 0) < built.diags.size
+    kept = eig_hermitian(h).flip_form
+    assert kept.flips.tobytes() == built.flips.tobytes() and kept.diags.tobytes() == built.diags.tobytes()
+    x = np.random.default_rng(3).standard_normal(basis.dim)
+    assert np.max(np.abs(built @ x - h @ x)) <= 1e-13 * np.max(np.abs(h)) * basis.dim
 
 
 def test_assemble_validates_length():
     basis = enumerate_terms("h2", 2)
     with pytest.raises(ValueError):
         assemble(basis, np.ones(14))
+
+
+def test_assemble_rejects_complex_coefficients():
+    # a complex vector once lost its imaginary parts to a ComplexWarning,
+    # and 1j * ones gave an all-zero H
+    basis = enumerate_terms("h2", 2)
+    for coeffs in (1j * np.ones(15), np.ones(15, dtype=complex)):
+        for build in (assemble, flip_form):
+            with pytest.raises(ValueError, match="real"):
+                build(basis, coeffs)
 
 
 def test_term_amplitudes():

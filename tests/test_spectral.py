@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from chaintomo import spectral
-from chaintomo.models import assemble, assemble_nonzeros, enumerate_terms, min_length, sample_params
+from chaintomo.models import assemble, enumerate_terms, flip_form, min_length, sample_params
 from chaintomo.pauli import string_matrix
 from chaintomo.spectral import (
     HERMITIAN_CHECK_ROWS,
     SELECTION_POLICIES,
     DegenerateSpectrumError,
     build_steady_state,
+    FlipOperator,
     eig_hermitian,
-    eig_nonzeros,
 )
 
 
@@ -171,10 +171,10 @@ def _same_decision(h, x, c, s):
         strips = spectral._certificate_factor(h, x, c, s)
     except np.linalg.LinAlgError:
         strips = None
-    nonzeros = eig_hermitian(h).nonzeros
-    if nonzeros is not None:  # rows of H's nonzeros give the same factor, bit for bit
+    form = eig_hermitian(h).flip_form
+    if form is not None:  # H's nonzeros in flip form give the same factor, bit for bit
         try:
-            sparse = spectral._certificate_factor(nonzeros, x, c, s)
+            sparse = spectral._certificate_factor(form, x, c, s)
         except np.linalg.LinAlgError:
             sparse = None
         assert (sparse is None) == (strips is None)
@@ -363,16 +363,17 @@ def _check_message(h):
 
 
 def test_hermiticity_check_decides_as_the_strip_predicate():
-    # the check reads each nonzero and its mirror entry; the strip predicate
-    # read every entry pair. They must raise alike, with the same message,
-    # on a sparse H (kept by its nonzeros) and on the dense 300-row cases
-    # of the test above, whose last strip has 44 rows
+    # the check reads each row strip against its column strip, and the
+    # strip predicate the upper triangle against the lower. They must raise
+    # alike, with the same message, on a sparse H (kept by its flip form)
+    # and on the dense 300-row cases of the test above, whose last strip
+    # has 44 rows
     _, _, sparse = _random_instance(kind="h3table", L=9, seed=2)
-    assert eig_hermitian(sparse).nonzeros is not None
+    assert eig_hermitian(sparse).flip_form is not None
     rng = np.random.default_rng(31)
     a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
     dense = a + a.conj().T
-    assert eig_hermitian(dense).nonzeros is None
+    assert eig_hermitian(dense).flip_form is None
     # entries whose mirror is exactly 0, in the first, a middle and the last strip
     zeros = [(i, int(np.flatnonzero(sparse[i] == 0)[k])) for i, k in [(0, -1), (300, 0), (511, 5), (130, 200)]]
     nonzero = [(i, int(np.flatnonzero(sparse[i])[k])) for i, k in [(0, -1), (511, 0), (200, 7)]]
@@ -395,70 +396,69 @@ def test_hermiticity_check_decides_as_the_strip_predicate():
 
 
 def test_nonzeros_check_decides_as_the_dense_check():
-    # eig_nonzeros reads each entry against its mirror, or 0 where the
-    # mirror is not kept, with eig_hermitian's predicate: a NaN or infinite
-    # value, a mirror departing by more than 1e-12 * max(1, max|h|) and a
-    # dropped mirror raise as they do on the dense matrix; round-off passes
+    # H's nonzeros held in flip form are checked flip by flip, each entry
+    # against its mirror in the same flip, with eig_hermitian's predicate:
+    # NaN and infinite values, a mirror departing by more than
+    # 1e-12 * max(1, max|h|) and a one-sided entry raise as the strip
+    # predicate raises on the dense matrix; round-off passes
     basis = enumerate_terms("h3table", 9)
-    coeffs = sample_params(basis, 4)
-    columns, values, starts = assemble_nonzeros(basis, coeffs)
-    h = assemble(basis, coeffs)
-    eig = eig_nonzeros(columns, values, starts)
-    assert eig.dense is None and eig.dim == 512 and eig.nonzeros.values is values
-    scale = np.max(np.abs(values))
-    k = int(starts[300]) + 3  # an entry off the diagonal
-    for change in (1e-13 * scale, 1e-9 * scale, 1e-9j * scale, np.nan, np.inf, complex(0, -np.inf)):
-        bad = values.copy()
-        bad[k] = bad[k] + change if np.isfinite(change) else change
+    op = flip_form(basis, sample_params(basis, 4))
+    h = op.dense()
+    eig = eig_hermitian(op)
+    assert eig.dense is None and eig.dim == 512 and eig.flip_form is op
+    scale = np.max(np.abs(op.diags))
+    k, i = 3, 300  # an entry off the diagonal
+    j = i ^ int(op.flips[k])
+    decided = []
+    for change in (1e-13 * scale, 1e-9 * scale, 1e-9j * scale, np.nan, np.inf, -np.inf, complex(0, -np.inf),
+                   -op.diags[k, i]):  # the last leaves its mirror one-sided
+        bad = op.diags.copy()
+        bad[k, i] = bad[k, i] + change if np.isfinite(change) else change
         dense = h.copy()
-        dense[300, columns[k]] = bad[k]
-        expected = _check_message(dense)
-        try:
-            eig_nonzeros(columns, bad, starts)
-            got = None
-        except ValueError as exc:
-            got = str(exc)
-        assert got == expected, change
-    # the entry dropped: its mirror is read against 0
-    keep = np.arange(values.size) != k
-    with pytest.raises(ValueError, match="not Hermitian"):
-        eig_nonzeros(columns[keep], values[keep], np.concatenate([starts[:301], starts[301:] - 1]))
+        dense[i, j] = bad[k, i]
+        expected = _strip_predicate(dense)
+        assert _check_message(FlipOperator(op.flips, bad)) == expected, change
+        decided.append(expected)
+    assert decided[-1] == "matrix is not Hermitian within tolerance" and dense[j, i] != 0 == dense[i, j]
+    assert {None, "matrix has a non-finite entry", "matrix is not Hermitian within tolerance"} == set(decided)
 
 
 def test_nonzeros_decomposition_forms_the_dense_matrix_only_on_demand():
-    # above NONZERO_SHARE (h3table L=8, 11%) the nonzeros are formed dense at
-    # once, as eig_hermitian keeps no nonzeros there; below it the dense
-    # matrix is formed on first read, byte for byte assemble's
+    # above NONZERO_SHARE (h3table L=8, 28 flips on 256 rows) a flip form is
+    # formed dense at once, as eig_hermitian keeps no flip form there;
+    # below it the dense matrix is formed on first read, byte for byte
+    # assemble's
     for L, kept in ((8, False), (9, True)):
         basis = enumerate_terms("h3table", L)
         coeffs = sample_params(basis, 1)
-        eig = eig_nonzeros(*assemble_nonzeros(basis, coeffs))
-        assert (eig.nonzeros is not None) == kept and (eig.dense is None) == kept
+        eig = eig_hermitian(flip_form(basis, coeffs))
+        assert (eig.flip_form is not None) == kept and (eig.dense is None) == kept
         assert "matrix" not in vars(eig) or not kept
         assert eig.matrix.tobytes() == assemble(basis, coeffs).tobytes()
         assert eig.matrix is eig.matrix and eig.matrix.flags.writeable
 
 
 def test_nonzeros_are_kept_up_to_their_share():
-    # NONZERO_SHARE = 1/16 keeps h2 from L=8 and h3table from L=9, in row
-    # order (their diagonals have no zero); h3table at L=8, 11% nonzero,
-    # keeps its dense product
+    # NONZERO_SHARE = 1/16 keeps H's nonzeros in flip form, as many flips as
+    # nonzeros per row, for h2 from L=8 and h3table from L=9, whether H is
+    # given dense or in flip form; h3table at L=8, 28 flips on 256 rows,
+    # keeps its dense product. A derived form holds the XORs of the
+    # nonzeros' rows and columns, ascending, and each flip's entries
     for kind, L, kept in [("h3table", 8, False), ("h2", 8, True), ("h3table", 9, True)]:
-        _, _, h = _random_instance(kind=kind, L=L, seed=1)
-        nonzeros = eig_hermitian(h).nonzeros
-        assert (nonzeros is not None) == kept, (kind, L)
+        basis, coeffs, h = _random_instance(kind=kind, L=L, seed=1)
+        form = eig_hermitian(h).flip_form
+        assert (form is not None) == kept == (eig_hermitian(flip_form(basis, coeffs)).flip_form is not None), (kind, L)
         if kept:
             rows, cols = np.nonzero(h)
-            assert nonzeros.columns.dtype == np.int32
-            assert np.array_equal(nonzeros.columns, cols)
-            assert np.array_equal(nonzeros.values, h[rows, cols])
-            assert np.array_equal(nonzeros.starts, np.searchsorted(rows, np.arange(h.shape[0] + 1)))
+            assert np.array_equal(form.flips, np.unique(rows ^ cols))
+            assert np.array_equal(form.sources, np.arange(h.shape[0]) ^ form.flips[:, None])
+            assert np.array_equal(form.diags, h[np.arange(h.shape[0]), form.sources])
 
 
 @pytest.mark.parametrize("kind", ["h2", "h3table"])
 def test_nonzero_products_pick_the_dense_products_pairs(kind, monkeypatch):
     # at L=10 q=3 the Lanczos run and the Rayleigh-Ritz step multiply
-    # through H's nonzeros; the pairs agree with those of the dense product
+    # through H's nonzeros in flip form; the pairs agree with those of the dense product
     # under the bounds of test_failed_certificate_or_run_falls_back_to_dense
     _, _, h = _random_instance(kind=kind, L=10, seed=3)
     eig = eig_hermitian(h)
@@ -466,8 +466,8 @@ def test_nonzero_products_pick_the_dense_products_pairs(kind, monkeypatch):
     real_lanczos = spectral._lanczos
     monkeypatch.setattr(spectral, "_lanczos", lambda op, q, steps: operands.append(op) or real_lanczos(op, q, steps))
     state = build_steady_state(eig, 3, "lowest", 3)
-    expected = build_steady_state(dataclasses.replace(eig, nonzeros=None), 3, "lowest", 3)
-    assert operands[0] is eig.nonzeros and operands[1] is h
+    expected = build_steady_state(dataclasses.replace(eig, flip_form=None), 3, "lowest", 3)
+    assert operands[0] is eig.flip_form and operands[1] is h
     w = np.linalg.eigvalsh(h)
     assert np.max(np.abs(state.energies - expected.energies)) <= 1e-12 * np.max(np.abs(w))
     assert np.max(np.abs(np.abs(expected.states.conj().T @ state.states) - np.eye(3))) <= 1e-10
@@ -475,46 +475,48 @@ def test_nonzero_products_pick_the_dense_products_pairs(kind, monkeypatch):
 
 
 def test_nonzero_product_gives_zero_on_an_empty_row():
-    # rows and columns 0, 100 and 255 of a Hermitian H set to zero: each
-    # keeps only its diagonal zero, the product must give 0 there, and the
-    # pick must match the dense one
+    # rows and columns 0, 100 and 255 of a Hermitian H set to zero: every
+    # flip holds zeros there, the product through H's flip form must give 0
+    # there and equal the dense product elsewhere, for 1-D and 2-D operands,
+    # and the pick must match the dense one
     _, _, h = _random_instance(kind="h2", L=8, seed=4)
     for k in (0, 100, 255):
         h[k] = h[:, k] = 0
     eig = eig_hermitian(h)
-    nonzeros = eig.nonzeros
-    empty = nonzeros.starts[[0, 100, 255]]
-    assert (np.diff(nonzeros.starts)[[0, 100, 255]].tolist(), nonzeros.columns[empty].tolist(),
-            nonzeros.values[empty].tolist()) == ([1, 1, 1], [0, 100, 255], [0, 0, 0])
+    form = eig.flip_form
+    assert form.flips.size == 16 and not form.diags[:, [0, 100, 255]].any()
     rng = np.random.default_rng(6)
     scale = np.max(np.abs(h)) * h.shape[0]
     for x in (rng.standard_normal(256), rng.standard_normal(256) + 1j * rng.standard_normal(256),
               rng.standard_normal((256, 3)) + 1j * rng.standard_normal((256, 3))):
-        y = nonzeros @ x
+        y = form @ x
         assert y.shape == x.shape
         assert np.max(np.abs(y - h @ x)) <= 1e-14 * scale * np.max(np.abs(x))
         assert np.all(y[[0, 100, 255]] == 0)
     state = build_steady_state(eig, 3, "lowest", 0)
-    expected = build_steady_state(dataclasses.replace(eig, nonzeros=None), 3, "lowest", 0)
+    expected = build_steady_state(dataclasses.replace(eig, flip_form=None), 3, "lowest", 0)
     assert np.max(np.abs(state.energies - expected.energies)) <= 1e-12 * np.max(np.abs(np.linalg.eigvalsh(h)))
     assert np.max(np.abs(np.abs(expected.states.conj().T @ state.states) - np.eye(3))) <= 1e-10
 
 
 def test_dense_input_keeps_the_dense_product(monkeypatch):
-    # a dense random Hermitian matrix is not kept by its nonzeros, so its
-    # Lanczos run multiplies through the matrix itself
+    # a dense random Hermitian matrix, of 2**L rows or not, has no flip form
+    # within NONZERO_SHARE, and a sparse one of 300 rows none at all, so
+    # their Lanczos runs multiply through the matrix itself
     rng = np.random.default_rng(8)
-    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
-    h = a + a.conj().T
-    eig = eig_hermitian(h)
-    assert eig.nonzeros is None
-    operands = []
     real_lanczos = spectral._lanczos
-    monkeypatch.setattr(spectral, "_lanczos", lambda op, q, steps: operands.append(op) or real_lanczos(op, q, steps))
-    state = build_steady_state(eig, 2, "lowest", 0)
-    assert len(operands) == 1 and operands[0] is h
-    assert "eigenvalues" not in vars(eig)  # the Lanczos path, not the dense one
-    assert np.max(np.abs(state.energies - np.linalg.eigvalsh(h)[:2])) <= 1e-12 * np.max(np.abs(h)) * 300
+    for n in (300, 512):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = a + a.conj().T
+        eig = eig_hermitian(h)
+        assert eig.flip_form is None
+        operands = []
+        monkeypatch.setattr(spectral, "_lanczos", lambda op, q, steps: operands.append(op) or real_lanczos(op, q, steps))
+        state = build_steady_state(eig, 2, "lowest", 0)
+        assert len(operands) == 1 and operands[0] is h
+        assert "eigenvalues" not in vars(eig)  # the Lanczos path, not the dense one
+        assert np.max(np.abs(state.energies - np.linalg.eigvalsh(h)[:2])) <= 1e-12 * np.max(np.abs(h)) * n
+    assert eig_hermitian(np.diag(np.ones(299), 1) + np.diag(np.ones(299), -1)).flip_form is None
 
 
 def test_pure_state_is_projector():

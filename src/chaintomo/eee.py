@@ -15,18 +15,24 @@ coefficients.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hoe
-from .hoe import DEFAULT_RANK_TOL, DegenerateRecoveryError, RecoveryReport, constraint_matrices
+from .hoe import DEFAULT_RANK_TOL, DegenerateRecoveryError, RecoveryReport
 from .models import TermBasis
+from .pauli import row_action
 from .spectral import SteadyState
 
 # DegenerateRecoveryError is raised in hoe.recover, on either route at full
 # column rank, and stays importable from here, where the vanishing
 # coefficient block is the joint route's own case
+
+# basis rows per layer of the row pass: a layer's sources and phases serve every
+# mixed state, and neither a (2**L, N) array nor a state's whole block is formed
+LAYER_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -50,13 +56,59 @@ def constraint_matrix(basis: TermBasis, state: SteadyState) -> np.ndarray:
     Row layout is fixed: for each mixed state in ascending energy order,
     first the real parts of its 2**L equations, then the imaginary parts.
     The last q columns carry -psi_mu in column mu, pairing eigenvalue mu
-    with its state. Built by ``hoe.constraint_matrices``, in Fortran order,
-    and returned as it is where Q is under twice as tall as its sketch.
-    Elsewhere its 2 (N + q)-row CountSketch SQ is returned in its place:
-    Q's rank and nullspace with high probability, without forming Q, from
-    row maps fixed by 2**L, the state's index, N + q and the row layer alone.
+    with its state. Each layer of h = min(2**L, N + q, LAYER_ROWS) rows takes
+    its sources and phases once for all states (``pauli.row_action``) and
+    gathers each state's amplitudes A_mu = (h_n|psi_mu>)_n through them.
+    Where dim q >= 2 (N + q), each layer is added into the CountSketch SQ
+    returned in place of Q (arXiv:1207.6365): each row of [A_mu | -psi_mu]
+    goes with a sign of +-1 to one of N + q buckets (``_layer_maps``), real
+    over imaginary parts. SQ x = 0 wherever Q x = 0, and SQ keeps Q's rank
+    with high probability (arXiv:2002.01387). Elsewhere Q is formed whole,
+    in Fortran order, each layer written into its block.
     """
-    return constraint_matrices(basis, state, ("eee",))[1]
+    hoe.check_state(basis, state)
+    dim, n, q, width = basis.dim, basis.n_params, state.q, basis.n_params + state.q
+    h, sketch = min(dim, width, LAYER_ROWS), dim * q >= 2 * width
+    psis = np.ascontiguousarray(state.states.T, dtype=complex)  # one contiguous row per state
+    if sketch:
+        qmat = np.zeros((2 * width, width))
+        for mu, psi in enumerate(psis):  # the sketch's -psi_mu columns
+            bucket, sign = _layer_maps(dim, mu, width)
+            qmat[:, n + mu] = -np.concatenate([np.bincount(bucket, sign * z, width) for z in (psi.real, psi.imag)])
+    else:  # Q whole, its -psi_mu columns zero outside the mu-th block
+        qmat = np.empty((2 * dim * q, width), order="F")
+        qmat[:, n:] = np.where(np.eye(q, dtype=bool)[:, None], -np.c_[psis.real, psis.imag].T, 0.0).reshape(-1, q)
+    chunk_buf = np.empty((h, n), dtype=complex)
+    for r in range(0, dim, h):
+        e = min(r + h, dim)
+        src, phase = row_action(basis.masks, np.arange(r, e))
+        for mu, psi in enumerate(psis):
+            chunk = np.take(psi, src, out=chunk_buf[: e - r], mode="clip")
+            chunk *= phase
+            if sketch:
+                bucket, sign = _layer_maps(dim, mu, width)
+                chunk *= sign[r:e, None]
+                qmat[bucket[r:e], :n] += chunk.real
+                qmat[bucket[r:e] + width, :n] += chunk.imag
+            else:
+                lo = 2 * dim * mu + r
+                qmat[lo : lo + e - r, :n], qmat[lo + dim : lo + dim + e - r, :n] = chunk.real, chunk.imag
+        del src, phase  # before the next layer's are formed
+    return qmat
+
+
+@functools.cache
+def _layer_maps(dim: int, mu: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """State mu's CountSketch into ``width`` buckets, read-only: each row's bucket and sign. The h rows of
+    layer l (h as in the pass) take the leading buckets of a random permutation and random signs, both fixed
+    by (dim, mu, width, l) alone, so no two rows of a layer share a bucket."""
+    h = min(dim, width, LAYER_ROWS)
+    bucket, sign = np.empty(dim, dtype=np.intp), np.empty(dim)
+    for layer, r in enumerate(range(0, dim, h)):
+        rng, e = np.random.default_rng((0, dim, mu, width, layer)), min(r + h, dim)
+        bucket[r:e], sign[r:e] = rng.permutation(width)[: e - r], rng.choice((-1.0, 1.0), size=e - r)
+    bucket.flags.writeable = sign.flags.writeable = False
+    return bucket, sign
 
 
 def recover(qmat: np.ndarray, n_params: int, tol_rel: float = DEFAULT_RANK_TOL) -> RecoveryReport:

@@ -268,21 +268,19 @@ def _run_routes(basis: models.TermBasis, state: spectral.SteadyState, methods: t
                 instance: str):
     """Run the selected recovery routes on one drawn instance.
 
-    Both constraint matrices come from one pass over the mixed states
-    (``hoe.constraint_matrices``, which decides where Q is replaced by its
-    CountSketch); the commutator SVD runs before the joint QR. A rank decision
-    within NEAR_CUT_DECADES of its cut, on either side, is logged as a
-    warning naming ``instance`` and the route. Returns ``(reports,
-    relations)``: the reports keyed by method in METHODS order, and the
-    cross-route checks when both routes ran (else None).
+    Each route builds its matrix (``hoe.constraint_matrix``, then
+    ``eee.constraint_matrix``) and recovers from it before the next one is
+    built, so G and Q are never held at once. A rank decision within
+    NEAR_CUT_DECADES of its cut, on either side, is logged as a warning
+    naming ``instance`` and the route. Returns ``(reports, relations)``: the
+    reports keyed by method in METHODS order, and the cross-route checks
+    when both routes ran (else None).
     """
-    g, qmat = hoe.constraint_matrices(basis, state, methods)
     reports = {}
-    if g is not None:
-        reports["hoe"] = hoe.recover(g, rank_tol)
-        del g  # held across the QR of Q, it raised the sweeps' peak RSS by 4.5 MB
-    if qmat is not None:
-        reports["eee"] = eee.recover(qmat, basis.n_params, rank_tol)
+    if "hoe" in methods:
+        reports["hoe"] = hoe.recover(hoe.constraint_matrix(basis, state), rank_tol)
+    if "eee" in methods:
+        reports["eee"] = eee.recover(eee.constraint_matrix(basis, state), basis.n_params, rank_tol)
     for method, report in reports.items():
         near = {side: decades for side, decades in (("kept", report.kept), ("dropped", report.dropped))
                 if decades is not None and decades < NEAR_CUT_DECADES}

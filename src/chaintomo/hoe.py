@@ -14,21 +14,15 @@ inverse iteration on the QR R factor of G, see ``nullspace``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .models import TermBasis
-from .pauli import PauliString, row_action
+from .pauli import I_POWERS, PauliString, product_table
 from .spectral import SteadyState
 
 DEFAULT_RANK_TOL = 1e-10
-
-# basis rows per layer of the constraint pass: a layer's sources and phases
-# are computed once, from the terms' masks, for every mixed state, so that
-# neither a (2**L, N) array nor a state's whole block is formed
-LAYER_ROWS = 128
 
 # rows of R per diagonal block of the blocked triangular solves
 SOLVE_BLOCK = 64
@@ -65,80 +59,12 @@ class RecoveryReport:
     dropped: float | None = None
 
 
-def constraint_matrices(
-    basis: TermBasis, state: SteadyState, methods: tuple[str, ...] = ("hoe", "eee")
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Both routes' constraint matrices ``(G, Q)`` from one pass over the basis rows.
-
-    Each matrix is None unless its route ("hoe" or "eee", and no other) is
-    in ``methods``. The pass walks the basis in layers of h = min(2**L,
-    N + q, LAYER_ROWS) rows. A layer's sources and phases are taken once, for
-    every mixed state, from the terms' ``TermBasis.masks`` by
-    ``pauli.row_action`` (the rule of ``pauli.action_table``, whose (2**L, N)
-    table is never formed), and each state's amplitudes A_mu = (h_n|psi_mu>)_n
-    on the layer are gathered through them, Re A_mu over Im A_mu (see
-    eee.constraint_matrix for the layout of Q). G is summed layer by layer,
-    with X_mu = (Re A_mu)^T (Im A_mu) one real product per state and layer:
-
-        G = -2 sum_mu p_mu (X_mu - X_mu^T),
-
-    since <i[h_m, h_n]>_mu = -2 Im(A_mu^H A_mu)[m, n]: exactly antisymmetric,
-    and bit-identical whichever routes run, as all walk the same layers.
-
-    Where Q is at least twice as tall as its sketch (dim q >= 2 (N + q)),
-    each layer is added, as it is gathered, into the CountSketch SQ returned
-    in place of Q (arXiv:1207.6365): each row of [A_mu | -psi_mu] goes with
-    a sign of +-1 to one of N + q buckets (``_layer_maps``), real parts over
-    imaginary parts, the rows of one layer to distinct buckets. SQ x = 0
-    wherever Q x = 0, and SQ keeps Q's rank with high probability
-    (arXiv:2002.01387); a (basis, state) always gives the same SQ. Elsewhere
-    each layer is written straight into the mu-th row block of Q; no state's
-    whole block is held apart from Q.
-    """
-    if not methods or not set(methods) <= {"hoe", "eee"}:
-        raise ValueError(f"methods must name one or both of 'hoe' and 'eee', got {methods!r}")
+def check_state(basis: TermBasis, state: SteadyState) -> None:
+    """Both builders take a ``SteadyState`` of the basis's dimension only."""
     if not isinstance(state, SteadyState):
         raise TypeError(f"expected a SteadyState, got {type(state).__name__}")
     if state.dim != basis.dim:
         raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
-    dim, n, q = basis.dim, basis.n_params, state.q
-    width, with_g, with_q = n + q, "hoe" in methods, "eee" in methods
-    h, sketch = min(dim, width, LAYER_ROWS), with_q and dim * q >= 2 * width
-    psis = np.ascontiguousarray(state.states.T, dtype=complex)  # one contiguous row per state
-    if with_q and not sketch:  # Q whole, its -psi_mu columns zero outside the mu-th block
-        qmat, layer = np.empty((2 * dim * q, width), order="F"), None
-        qmat[:, n:] = np.where(np.eye(q, dtype=bool)[:, None], -np.c_[psis.real, psis.imag].T, 0.0).reshape(-1, q)
-    else:
-        qmat, layer = (np.zeros((2 * width, width)) if sketch else None), np.empty((2 * h, n), order="F")
-    for mu, psi in enumerate(psis if sketch else ()):  # the sketch's -psi_mu columns
-        bucket, sign = _layer_maps(dim, mu, width)
-        qmat[:, n + mu] = -np.concatenate([np.bincount(bucket, sign * z, width) for z in (psi.real, psi.imag)])
-    buf = np.empty(max(2 * h * n, n * n if with_g else 0))  # a layer's complex gather, then its product
-    chunk_buf = buf[: 2 * h * n].view(complex).reshape(h, n)
-    acc, x = (np.zeros((n, n)), buf[: n * n].reshape(n, n)) if with_g else (None, None)
-    for r in range(0, dim, h):
-        e = min(r + h, dim)
-        src, phase = row_action(basis.masks, np.arange(r, e))
-        for mu, psi in enumerate(psis):
-            chunk = np.take(psi, src, out=chunk_buf[: e - r], mode="clip")
-            chunk *= phase
-            # the layer's Re and Im rows: in the layer buffer, or in the mu-th block of a whole Q
-            into, lo, im_lo = (layer, 0, h) if layer is not None else (qmat, 2 * dim * mu + r, 2 * dim * mu + dim + r)
-            re, im = into[lo : lo + e - r, :n], into[im_lo : im_lo + e - r, :n]
-            re[:], im[:] = chunk.real, chunk.imag
-            if sketch:
-                bucket, sign = _layer_maps(dim, mu, width)
-                chunk *= sign[r:e, None]
-                qmat[bucket[r:e], :n] += chunk.real
-                qmat[bucket[r:e] + width, :n] += chunk.imag
-            if with_g:  # p_mu X_mu of the layer
-                acc += np.multiply(np.matmul(re.T, im, out=x), state.probs[mu], out=x)
-        del src, phase  # before the next layer's are formed
-    if not with_g:
-        return None, qmat
-    g = np.subtract(acc, acc.T, out=x)
-    g *= -2.0
-    return g, qmat
 
 
 def constraint_matrix(
@@ -148,40 +74,42 @@ def constraint_matrix(
 ) -> np.ndarray:
     """Real matrix of commutator expectations <i[K_m, h_n]> in the state.
 
-    Observables default to the model's own terms, giving a square matrix
-    with one row per unknown coefficient, built by ``constraint_matrices``.
-    That default matrix satisfies G[m, n] = -G[n, m] exactly, so its rank
-    is even; when the constraint system carries an odd number of
-    independent rows, the square matrix sits one below it, and any
-    observable outside the term set restores the odd rank (see
-    ranks.predict_ranks).
-
-    Custom observables K_m run through the same pass, on the union basis
-    of the observables followed by the terms: its G block of observable
-    rows and term columns is -2 sum_mu p_mu Im(u_m^H w_n) with
-    u = K_m|psi_mu> and w = h_n|psi_mu>, which is <i[K_m, h_n]>.
+    Observables default to the terms, giving a square matrix with one row
+    per coefficient. An entry is an exact zero where K_m and h_n commute and
+    -2 Im<K_m h_n> where they anticommute, K_m h_n being a phase times one
+    string X^f Z^z (``pauli.product_table``, from ``TermBasis.masks``). Per
+    flip f, in groups of flips, the Walsh-Hadamard transform of c_f[i] =
+    sum_mu p_mu conj(psi_mu[i]) psi_mu[i ^ f] over the row bits gives every z
+    at once. The default G is exactly antisymmetric, so its rank is even;
+    any observable outside the term set restores an odd rank (see
+    ranks.predict_ranks). Custom observables are read off the union basis of
+    the observables followed by the terms, whose block of observable rows
+    and term columns is returned.
     """
-    if observables is None:
-        return constraint_matrices(basis, state, ("hoe",))[0]
-    if len(observables) == 0:
-        raise ValueError("observable list must not be empty")
-    m = len(observables)
-    union = replace(basis, terms=tuple(observables) + basis.terms)
-    return constraint_matrices(union, state, ("hoe",))[0][:m, m:]
-
-
-@functools.cache
-def _layer_maps(dim: int, mu: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """State mu's CountSketch into ``width`` buckets, read-only: each row's bucket and sign. The h rows of
-    layer l (h as in the pass) take the leading buckets of a random permutation and random signs, both fixed
-    by (dim, mu, width, l) alone, so no two rows of a layer share a bucket."""
-    h = min(dim, width, LAYER_ROWS)
-    bucket, sign = np.empty(dim, dtype=np.intp), np.empty(dim)
-    for layer, r in enumerate(range(0, dim, h)):
-        rng, e = np.random.default_rng((0, dim, mu, width, layer)), min(r + h, dim)
-        bucket[r:e], sign[r:e] = rng.permutation(width)[: e - r], rng.choice((-1.0, 1.0), size=e - r)
-    bucket.flags.writeable = sign.flags.writeable = False
-    return bucket, sign
+    check_state(basis, state)
+    if observables is not None:
+        if not (m := len(observables)):
+            raise ValueError("observable list must not be empty")
+        return constraint_matrix(replace(basis, terms=tuple(observables) + basis.terms), state)[:m, m:]
+    n, dim, (flips, pair, at, power) = basis.n_params, basis.dim, product_table(basis.masks, basis.L)
+    g, group = np.zeros((n, n)), max(1, n * n // (8 * dim))  # a group's (group, 2**L) arrays hold about G's bytes
+    c_buf, t_buf = np.empty((2, min(group, len(flips)), dim), dtype=complex)
+    for f0 in range(0, len(flips), group):
+        src = np.arange(dim) ^ flips[f0 : f0 + group, None]
+        c, t = c_buf[: len(src)], t_buf[: len(src)]
+        c[:] = 0.0
+        for p, psi in zip(state.probs, state.states.T.astype(complex)):
+            c += np.multiply(np.take(psi, src, out=t, mode="clip"), p * psi.conj(), out=t)
+        for b in range(basis.L):  # Walsh-Hadamard butterflies on bit b of every row, in place
+            v = c.reshape(-1, 2, 1 << b)
+            diff = np.subtract(v[:, 0], v[:, 1], out=t.reshape(-1)[: c.size // 2].reshape(-1, 1 << b))
+            v[:, 0] += v[:, 1]
+            v[:, 1] = diff
+        sel = (at >= f0 * dim) & (at < (f0 + len(src)) * dim)
+        vals = (I_POWERS[power[sel]] * c.reshape(-1)[at[sel] - f0 * dim]).imag * -2.0
+        g.flat[pair[sel]] = vals
+        g.T.flat[pair[sel]] = -vals
+    return g
 
 
 def _rank_and_sigma(r: np.ndarray, tol_rel: float, compute_uv: bool = False):

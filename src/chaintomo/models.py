@@ -124,10 +124,9 @@ def term_amplitudes(basis: TermBasis, psi: np.ndarray) -> np.ndarray:
     """Matrix whose n-th column is term_n applied to the state psi.
 
     Shape (2**L, N): one gather through the terms' action table, built
-    for this call by ``pauli.row_action`` from the basis's ``masks``. Both
-    recovery routes are linear in these amplitudes, but neither calls
-    this: ``hoe.constraint_matrices`` gathers them itself, row chunk by
-    row chunk and state by state, custom observables included.
+    for this call by ``pauli.row_action`` from the basis's ``masks``. The
+    joint route is linear in these amplitudes, but ``eee.constraint_matrix``
+    gathers them itself, layer by layer, and G is read off Pauli expectations.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.dim,):

@@ -299,11 +299,11 @@ def _certificate_factor(h: np.ndarray | FlipOperator, x: np.ndarray, c: float, s
     block and the panel below it of strip j:e are formed from ``h``, ``x``
     and ``s`` when the strip is reached, and updated with the panels of the
     strips before it; the block is factored by ``np.linalg.cholesky`` and
-    the panel solved against it by LU. Each strip keeps only the lower
-    trapezoid of the factor: its diagonal block's lower triangle, packed by
-    rows, and its panel. So neither a dense W nor a dense XX^H is formed,
-    and only the lower triangle of a dense ``h`` is read. Returns
-    ``(triangle, panel)`` per strip; raises LinAlgError, as
+    the panel multiplied by the inverse of its conjugate transpose. Each
+    strip keeps only the lower trapezoid of the factor: its diagonal block's
+    lower triangle, packed by rows, and its panel. So neither a dense W nor
+    a dense XX^H is formed, and only the lower triangle of a dense ``h`` is
+    read. Returns ``(triangle, panel)`` per strip; raises LinAlgError, as
     ``np.linalg.cholesky`` does, unless W is positive definite.
     """
     dim = h.shape[0]
@@ -329,7 +329,7 @@ def _certificate_factor(h: np.ndarray | FlipOperator, x: np.ndarray, c: float, s
             block -= lead @ lead.conj().T
             panel -= done[e - k :] @ lead.conj().T
         block = np.linalg.cholesky(block)
-        panel = np.linalg.solve(block.conj(), panel.T).T  # P B^H = X: conj(B) P^T = X^T
+        panel = panel @ np.linalg.inv(block).conj().T  # P B^H = X, one product per strip
         strips.append((block[np.tri(e - j, dtype=bool)], panel))
     return strips
 

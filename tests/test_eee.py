@@ -71,13 +71,13 @@ def _joint_reference(basis, state):
 
 
 def _count_sketch(basis, q):
-    """The CountSketch the constraint pass applies to Q, as a dense matrix read
-    off hoe._layer_maps: row i of state mu's Re and Im halves both go, with one
+    """The CountSketch the row pass applies to Q, as a dense matrix read
+    off eee._layer_maps: row i of state mu's Re and Im halves both go, with one
     sign, to bucket b(i), among the Re and the Im buckets respectively."""
     dim, width = basis.dim, basis.n_params + q
     s = np.zeros((2 * width, 2 * dim * q))
     for mu in range(q):
-        bucket, sign = hoe._layer_maps(dim, mu, width)
+        bucket, sign = eee._layer_maps(dim, mu, width)
         for part in (0, 1):
             s[bucket + part * width, (2 * mu + part) * dim + np.arange(dim)] = sign
     return s
@@ -215,8 +215,8 @@ SKETCHED_GRID_CELLS = [(kind, L, q) for kind, lengths in (("h2", range(2, 10)), 
 def test_sketch_keeps_the_exact_rank_and_null_vector(selection):
     # the exact joint matrix is the oracle: at every sketched cell, the
     # sketch's rank is the whole Q's and the closed form's, its recovered
-    # vector is the whole Q's, and every pass that builds Q returns the same
-    # sketch bit for bit
+    # vector is the whole Q's, and a second pass returns the same sketch bit
+    # for bit
     assert len(SKETCHED_GRID_CELLS) == 12
     for kind, L, q in SKETCHED_GRID_CELLS:
         for seed in (1, 2, 3):
@@ -228,6 +228,23 @@ def test_sketch_keeps_the_exact_rank_and_null_vector(selection):
             assert joint.rank == exact.rank == predict_ranks(kind, L, q).r_prime, cell
             assert np.max(np.abs(joint.coefficients - exact.coefficients)) <= 1e-10, cell
             assert np.max(np.abs(joint.eigenvalues - exact.eigenvalues)) <= 1e-10, cell
-            for again in (eee.constraint_matrix(basis, state), hoe.constraint_matrices(basis, state, ("eee",))[1],
-                          hoe.constraint_matrices(basis, state, ("hoe", "eee"))[1]):
-                assert again.tobytes() == sketch.tobytes(), cell
+            assert eee.constraint_matrix(basis, state).tobytes() == sketch.tobytes(), cell
+
+
+def test_layer_maps_are_read_only_and_spread_each_layer():
+    # the cached sketch maps are shared by every later pass of the same
+    # shape, so no caller may write to them; within a layer no two rows share
+    # a bucket, and each row has a sign of +-1
+    dim, width = 512, 354
+    bucket, sign = eee._layer_maps(dim, 1, width)
+    assert eee._layer_maps(dim, 1, width)[0] is bucket
+    for a in (bucket, sign):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    h = min(dim, width, eee.LAYER_ROWS)
+    assert dim > h
+    for r in range(0, dim, h):
+        assert np.unique(bucket[r : r + h]).size == min(h, dim - r)
+    assert np.all((0 <= bucket) & (bucket < width))
+    assert set(np.unique(sign)) == {-1.0, 1.0}

@@ -382,8 +382,7 @@ def test_aggregate_counts_rejected_trials():
 def test_full_rank_constraint_matrix_names_the_trial(tmp_path, monkeypatch):
     # a constraint matrix of full column rank has no null vector: the trial
     # fails loudly, named, instead of scoring a least-singular vector
-    monkeypatch.setattr(harness.hoe, "constraint_matrices",
-                        lambda basis, state, methods, **_: (np.eye(basis.n_params), None))
+    monkeypatch.setattr(harness.hoe, "constraint_matrix", lambda basis, state: np.eye(basis.n_params))
     cfg = _tiny_cfg(tmp_path, methods=("hoe",))
     with pytest.raises(NumericalFailureError, match=r"model=h2 L=2 q=1 trial=0: numeric rank 15"):
         run_trial(cfg, "h2", 2, 1, 0)
@@ -516,9 +515,9 @@ def test_recover_instance_report():
                                                 ("h3table", 9, 2, True), ("h2", 8, 1, True)])
 def test_routes_match_the_public_builders_bit_for_bit(model, L, q, sketched):
     # perfbench's traced replica recovers from the public builders' G and
-    # joint matrix, where a sweep trial makes one pass for both; where Q is
-    # at least twice as tall as its sketch both are the CountSketch of Q:
-    # the reports must not differ in a single bit
+    # joint matrix, as a sweep trial does through _run_routes; where Q is at
+    # least twice as tall as its sketch both are the CountSketch of Q: the
+    # reports must not differ in a single bit
     basis, _, state, _ = harness.draw_instance(model, L, q, 1, 0, "lowest")
     qmat = eee.constraint_matrix(basis, state)
     n = basis.n_params

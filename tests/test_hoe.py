@@ -12,7 +12,6 @@ from chaintomo import eee, harness, hoe, models, pauli
 from chaintomo.hoe import (
     DEFAULT_RANK_TOL,
     DegenerateRecoveryError,
-    constraint_matrices,
     constraint_matrix,
     nullspace,
     numeric_rank,
@@ -20,7 +19,7 @@ from chaintomo.hoe import (
     recover,
 )
 from chaintomo.models import MODEL_KINDS, assemble, enumerate_terms, min_length, sample_params, term_amplitudes
-from chaintomo.pauli import action_table, commutator, string_masks, string_matrix
+from chaintomo.pauli import action_table, commutator, expectation, product_table, string_masks, string_matrix
 from chaintomo.spectral import SteadyState, build_steady_state, eig_hermitian
 
 
@@ -48,30 +47,41 @@ def _custom_observable_sets(basis, rng):
 
 
 def test_entries_match_expectation_oracle():
-    # dense oracle at every cell up to L=5: G[m, n] = Tr(rho i[K_m, h_n]) =
+    # dense oracle at every cell up to L=6: G[m, n] = Tr(rho i[K_m, h_n]) =
     # Tr(h_n i[rho, K_m]) by cyclicity, one commutator per row; K_m are the
-    # terms by default, or custom sets, which take the same pass
+    # terms by default, or custom sets, which are read off the same table.
+    # Where the dense K_m and h_n commute the entry is an exact zero: K h and
+    # h K are equal or opposite signed permutations, so their first columns
+    # decide. A few entries per set are also taken one by one, as
+    # expectation(i[K_m, h_n], rho), commuting pairs among them
     for kind in MODEL_KINDS:
-        for L in range(min_length(kind), 6):
+        for L in range(min_length(kind), 7):
             for q in (1, 2, 3):
                 basis, _, _, state = _instance(kind, L, q, seed=L + q)
+                rho, terms = state.rho, np.array([string_matrix(t) for t in basis.terms])
                 # Tr(h_n row) for every term at once: row . h_n^T, flattened
-                dense_t = np.array([string_matrix(t).T.ravel() for t in basis.terms]).T
+                dense_t = terms.transpose(0, 2, 1).reshape(len(terms), -1).T
                 rng = np.random.default_rng([L, q])
                 for observables in [None, *_custom_observable_sets(basis, rng)]:
+                    where = (kind, L, q, observables)
                     g = constraint_matrix(basis, state, observables)
-                    rows = [1j * commutator(state.rho, string_matrix(k)).ravel()
-                            for k in (basis.terms if observables is None else observables)]
-                    oracle = np.array(rows) @ dense_t
+                    ks = terms if observables is None else np.array([string_matrix(k) for k in observables])
+                    oracle = np.array([1j * commutator(rho, k).ravel() for k in ks]) @ dense_t
                     assert np.max(np.abs(oracle.imag)) <= 1e-12
-                    assert np.max(np.abs(g - oracle.real)) <= 1e-13 * np.max(np.abs(g)), (kind, L, q, observables)
+                    assert np.max(np.abs(g - oracle.real)) <= 1e-13 * np.max(np.abs(g)), where
+                    commuting = np.array([np.all(k @ terms[:, :, 0].T == (terms @ k[:, 0]).T, axis=0) for k in ks])
+                    assert commuting.shape == g.shape and commuting.any() and not commuting.all()
+                    assert not np.any(g[commuting]), where
+                    for m, n in zip(rng.integers(len(ks), size=8), rng.integers(len(terms), size=8)):
+                        entry = expectation(1j * commutator(ks[m], terms[n]), rho)
+                        assert abs(g[m, n] - entry.real) <= 1e-13 * np.max(np.abs(g)), where
                     if observables is None:
-                        assert np.array_equal(g, -g.T), (kind, L, q)
+                        assert np.array_equal(g, -g.T), where
 
 
 def test_custom_observables_take_one_table(monkeypatch):
-    # observables and terms share one pass: the union basis computes its
-    # masks once for all q states, the model's basis reuses the masks
+    # observables and terms share one product table: the union basis computes
+    # its masks once for all q states, the model's basis reuses the masks
     # assemble already read, and there is no (2**L, N) action table and no
     # per-state amplitude gather
     basis, _, _, state = _instance("h2", 3, 3, seed=11)
@@ -92,126 +102,91 @@ def test_custom_observables_take_one_table(monkeypatch):
     g = constraint_matrix(basis, state, observables=["XYX", "ZIZ"])
     assert g.shape == (2, basis.n_params)
     assert masks == [2 + basis.n_params]
-    constraint_matrices(basis, state)
+    constraint_matrix(basis, state)
+    eee.constraint_matrix(basis, state)
     assert masks == [2 + basis.n_params]
     assert tables == []
     assert gathers == []
 
 
-def test_pass_rejects_unknown_or_no_methods():
-    # an empty or misspelt route list once ran a whole gather pass and
-    # returned (None, None)
-    basis, _, _, state = _instance("h2", 3, 2, seed=11)
-    for methods in [(), ("HOE",), ("hoe", "joint"), ("G",)]:
-        with pytest.raises(ValueError, match="methods"):
-            constraint_matrices(basis, state, methods)
-
-
 def test_diagonal_vanishes():
-    # [K, K] = 0, and G is formed as X - X^T, so the diagonal is exactly zero
+    # [K, K] = 0, and only anticommuting pairs are written, so the diagonal is exactly zero
     basis, _, _, state = _instance(seed=2)
     g = constraint_matrix(basis, state)
     assert not np.any(np.diag(g))
 
 
-def test_matrices_are_bit_identical_across_route_subsets():
-    # a sweep builds both matrices in one pass, perfbench's replica each on
-    # its own: both must see the same bits, or recovered vectors drift at
-    # gap > 0 cells where they follow round-off; every subset walks the same
-    # row layers, which at h3table L=9 are several per state
-    for kind in MODEL_KINDS:
-        for L in range(min_length(kind), 10):
-            for q in (1, 2, 3):
-                basis, _, _, state = _instance(kind, L, q, seed=L * q)
-                g, qmat = constraint_matrices(basis, state, ("hoe", "eee"))
-                g_only, no_q = constraint_matrices(basis, state, ("hoe",))
-                no_g, q_only = constraint_matrices(basis, state, ("eee",))
-                assert no_q is None and no_g is None
-                for a, b in [(g, g_only), (g, constraint_matrix(basis, state)),
-                             (qmat, q_only), (qmat, eee.constraint_matrix(basis, state))]:
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (kind, L, q)
-
-
-def _pass_bound(basis, q, methods, sketched):
-    """Bytes one pass may hold: its outputs; G's running sum and one layer's
-    product, which shares its buffer with the layer's complex gather; per
-    basis row, an index and each state's contiguous copy (and where Q is
-    sketched, each state's cached bucket and sign); and a few (h, N) layer
-    buffers. Those are 23 bytes per entry for a layer's sources and phases
-    and the temporaries that form them; where Q is not written in place, 16
-    more for the layer's Re over Im rows, and where it is sketched, 8 more
-    for the sketch rows that a layer is added into."""
+def _g_bound(basis, q):
+    """Bytes the G builder may hold: G itself; 40 per entry of a group's
+    (group, 2**L) arrays, its sources, the sum of c over the states and one
+    state's gather, the group sized so that they hold about as much as G;
+    72 per anticommuting pair, for the product table, the temporaries that
+    build it and those of the pair's entry; and 48 per basis row and state,
+    for each state's complex copy and its weighted conjugate."""
     dim, n = basis.dim, basis.n_params
-    h = min(dim, n + q, hoe.LAYER_ROWS)
-    whole_q, sketch = "eee" in methods and not sketched, "eee" in methods and sketched
-    outputs = 0 if "eee" not in methods else 2 * dim * q * (n + q) * 8 if whole_q else 2 * (n + q) ** 2 * 8
-    products = (n * n + max(n * n, 2 * h * n)) * 8
-    per_row = 8 + 16 * q * (2 if sketch else 1)
-    per_entry = 23 + (0 if whole_q else 16) + (8 if sketch else 0)
-    return outputs + products + per_row * dim + per_entry * h * n
+    flips, pair, _, _ = product_table(basis.masks, basis.L)
+    group = min(max(1, n * n // (8 * dim)), len(flips))
+    return 8 * n * n + 40 * group * dim + 72 * len(pair) + 48 * q * dim
 
 
-def _traced_peak(basis, state, methods):
+def _q_bound(basis, q, sketched):
+    """Bytes the row pass may hold: its output; per basis row, each state's
+    contiguous copy (and where Q is sketched, each state's cached bucket and
+    sign) and an index; and per entry of an (h, N) layer, 23 bytes for its
+    sources and phases and the temporaries that form them, 16 for the layer's
+    complex gather and, where Q is sketched, 8 for the sketch rows that a layer
+    is added into."""
+    dim, n = basis.dim, basis.n_params
+    h = min(dim, n + q, eee.LAYER_ROWS)
+    output = 2 * (n + q) ** 2 * 8 if sketched else 2 * dim * q * (n + q) * 8
+    per_row = 8 + 16 * q * (2 if sketched else 1)
+    per_entry = 23 + 16 + (8 if sketched else 0)
+    return output + per_row * dim + per_entry * h * n
+
+
+def _traced_peak(build, basis, state):
     tracemalloc.start()
     try:
-        _, qmat = constraint_matrices(basis, state, methods)
-        return tracemalloc.get_traced_memory()[1], qmat
+        out = build(basis, state)
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
 
 
 def test_pass_memory_stays_within_its_arrays():
-    # traced peak of one pass at h3table, within _pass_bound: no state's
-    # 2**L-row block (6.6 MB at L=10) and no (2**L, N) action table (2.2 MB at
-    # L=9) is held. Where the returned Q is its 2(N + q)-row CountSketch, each
-    # layer was added into it as it was gathered; elsewhere Q is formed whole
-    # and the layer's rows are written straight into it: at L=9 q=1, Q is
-    # under twice the sketch's height
+    # traced peaks of both builders at h3table, each within its bound: no
+    # state's 2**L-row block (6.6 MB at L=10) and no (2**L, N) action table
+    # (2.2 MB at L=9) is held. Where the returned Q is its 2(N + q)-row
+    # CountSketch, each layer was added into it as it was gathered;
+    # elsewhere Q is formed whole and the layer's rows are written straight
+    # into it: at L=9 q=1, Q is under twice the sketch's height
     for L, q, sketched in [(9, 1, False), (8, 3, True), (9, 3, True), (10, 3, True)]:
         basis, _, _, state = _instance("h3table", L, q, seed=3)
         dim, n = basis.dim, basis.n_params
-        for methods in [("hoe", "eee"), ("hoe",)]:
-            peak, qmat = _traced_peak(basis, state, methods)
-            if qmat is not None:
-                assert qmat.shape[0] == (2 * (n + q) if sketched else 2 * dim * q), (L, q)
-            assert peak <= _pass_bound(basis, q, methods, sketched), (L, methods, peak)
+        peak, qmat = _traced_peak(eee.constraint_matrix, basis, state)
+        assert qmat.shape[0] == (2 * (n + q) if sketched else 2 * dim * q), (L, q)
+        assert peak <= _q_bound(basis, q, sketched), (L, q, peak)
+        peak, _ = _traced_peak(constraint_matrix, basis, state)
+        assert peak <= _g_bound(basis, q), (L, q, peak)
 
 
 def test_pass_memory_does_not_grow_with_the_basis():
     # h3table L=12 q=3 on a synthetic state (orthonormal random columns, so no
-    # eigensolve runs): both passes stay within the sketch, the products and a
-    # few layers, under half of one state's 2**L-row block (32.6 MB)
+    # eigensolve runs): the row pass stays within the sketch and a few layers,
+    # and the G builder within G, a group of flips and its product table, each
+    # under half of one state's 2**L-row block (32.6 MB)
     basis = enumerate_terms("h3table", 12)
     dim, n, q = basis.dim, basis.n_params, 3
     rng = np.random.default_rng(12)
     states = np.linalg.qr(rng.standard_normal((dim, q)) + 1j * rng.standard_normal((dim, q)))[0]
     state = SteadyState(q=q, states=states, probs=np.array([0.5, 0.3, 0.2]), energies=np.arange(q, dtype=float))
     block = 2 * dim * (n + q) * 8
-    for methods in [("hoe", "eee"), ("hoe",)]:
-        peak, qmat = _traced_peak(basis, state, methods)
-        assert qmat is None or qmat.shape == (2 * (n + q), n + q)
-        bound = _pass_bound(basis, q, methods, sketched=True)
-        assert bound < block / 2
-        assert peak <= bound, (methods, peak)
-
-
-def test_layer_maps_are_read_only_and_spread_each_layer():
-    # the cached sketch maps are shared by every later pass of the same
-    # shape, so no caller may write to them; within a layer no two rows share
-    # a bucket, and each row has a sign of +-1
-    dim, width = 512, 354
-    bucket, sign = hoe._layer_maps(dim, 1, width)
-    assert hoe._layer_maps(dim, 1, width)[0] is bucket
-    for a in (bucket, sign):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0
-    h = min(dim, width, hoe.LAYER_ROWS)
-    assert dim > h
-    for r in range(0, dim, h):
-        assert np.unique(bucket[r : r + h]).size == min(h, dim - r)
-    assert np.all((0 <= bucket) & (bucket < width))
-    assert set(np.unique(sign)) == {-1.0, 1.0}
+    peak, qmat = _traced_peak(eee.constraint_matrix, basis, state)
+    assert qmat.shape == (2 * (n + q), n + q)
+    assert peak <= _q_bound(basis, q, sketched=True) < block / 2, peak
+    peak, g = _traced_peak(constraint_matrix, basis, state)
+    assert g.shape == (n, n)
+    assert peak <= _g_bound(basis, q) < block / 2, peak
 
 
 def test_true_coefficients_span_the_nullspace():
@@ -425,7 +400,7 @@ def test_unique_recovery_never_forms_the_left_factor(monkeypatch):
     # at a unique cell both routes read the null vector off R by inverse
     # iteration: no SVD with singular vectors, which would build U
     basis, coeffs, _, state = _instance("h3table", 8, 3, seed=1)
-    g, qmat = constraint_matrices(basis, state)
+    g, qmat = constraint_matrix(basis, state), eee.constraint_matrix(basis, state)
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(kw.get("compute_uv", True))
@@ -453,7 +428,7 @@ def _decades_across_cut(m: np.ndarray) -> float:
 
 def test_rank_margin_at_a_unique_cell():
     basis, _, _, state = _instance("h3table", 6, 3, seed=1)
-    g, qmat = constraint_matrices(basis, state)
+    g, qmat = constraint_matrix(basis, state), eee.constraint_matrix(basis, state)
     for m, report in ((g, recover(g)), (qmat, eee.recover(qmat, basis.n_params))):
         assert report.unique
         assert report.kept + report.dropped >= 3
@@ -466,7 +441,7 @@ def test_kept_shows_a_rank_decision_the_margin_hides():
     # G's smallest kept singular value sits 5% above the cut 1e-10 * sigma_0,
     # while the one below it is at round-off, so kept + dropped reads 7 decades
     basis, _, state, _ = harness.draw_instance("h3table", 7, 1, 5, 1, "lowest")
-    g, qmat = constraint_matrices(basis, state)
+    g, qmat = constraint_matrix(basis, state), eee.constraint_matrix(basis, state)
     report = recover(g)
     assert report.gap == 0
     assert report.kept + report.dropped > 7

@@ -11,6 +11,7 @@ from chaintomo.pauli import (
     apply_string,
     commutator,
     expectation,
+    product_table,
     row_action,
     string_masks,
     string_matrix,
@@ -78,8 +79,34 @@ def test_action_matches_matrix():
             assert np.array_equal(apply_string(s, psi), string_matrix(s) @ psi), s
 
 
+def test_product_table_names_each_anticommuting_product():
+    # dense oracle: the table lists exactly the pairs m < n whose matrices
+    # anticommute, each with K_m K_n = i**k (-1)**|f & z| X^f Z^z, where
+    # X^f Z^z sends |j> to (-1)**|j & z| |j ^ f>; repeated strings commute
+    rng = np.random.default_rng(17)
+    for length in (1, 2, 3, 4):
+        dim = 2**length
+        strings = ["I" * length, "Y" * length] + _random_strings(rng, length, 14)
+        strings += strings[2:4]
+        mats = [string_matrix(s) for s in strings]
+        flips, pair, at, power = product_table(string_masks(strings, length), length)
+        assert flips.dtype == pair.dtype == at.dtype == np.int32 and power.dtype == np.int8
+        assert np.all(np.diff(flips) > 0) and np.all(at // dim < len(flips))
+        anti = {(m, n) for m in range(len(mats)) for n in range(m + 1, len(mats))
+                if np.array_equal(mats[m] @ mats[n], -mats[n] @ mats[m])}
+        assert {divmod(int(p), len(strings)) for p in pair} == anti and len(pair) == len(anti)
+        j = np.arange(dim)
+        for p, a, k in zip(pair, at, power):
+            m, n = divmod(int(p), len(strings))
+            f, z = int(flips[a // dim]), int(a % dim)
+            xz = np.zeros((dim, dim), dtype=complex)
+            xz[j ^ f, j] = (-1.0) ** np.bitwise_count(j & z)
+            expected = 1j ** int(k) * (-1) ** (f & z).bit_count() * xz
+            assert np.array_equal(mats[m] @ mats[n], expected), (strings[m], strings[n])
+
+
 def test_row_ranges_carry_the_table_bits():
-    # the constraint pass takes the table's rows chunk by chunk, with intp
+    # the joint route's row pass takes the table's rows layer by layer, with intp
     # or int32 indices: every range must give the table's own bits
     rng = np.random.default_rng(13)
     for length in (1, 3, 7):

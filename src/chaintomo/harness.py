@@ -236,7 +236,8 @@ def draw_instance(model: str, L: int, q: int, seed: int, trial_index: int,
     """Draw the seeded random instance of one trial: basis, true coefficients, steady state.
 
     H is decomposed from its flip form (``models.flip_form``), formed dense
-    only where its flips are too many or the dense path must run. A degenerate
+    only where the dense path runs: ``random``, below dimension 256, or a
+    failed Lanczos run. A degenerate
     eigenvalue pick resamples the Hamiltonian on a fresh retry stream, at
     most MAX_DEGENERACY_RETRIES times. Returns
     ``(basis, a_true, state, retry)``; ``state`` is None when every pick was

@@ -41,10 +41,6 @@ KRYLOV_CHECK_STEPS = 10
 # per strip of the certificate's factorization (``_certificate_factor``)
 HERMITIAN_CHECK_ROWS = 128
 
-# share of its rows up to which a matrix's flips may number for ``eig_hermitian`` to keep
-# its flip form for the Lanczos products: h2 from L = 8, the other families from L = 9
-NONZERO_SHARE = 1 / 16
-
 
 class DegenerateSpectrumError(RuntimeError):
     """Selected eigenstates are too close in energy, or their drawn
@@ -85,7 +81,8 @@ class EigDecomposition:
     """A Hermitian matrix and, on first access, its whole spectrum.
 
     ``matrix`` is the decomposed matrix itself, ``dense`` where it was
-    given so, else formed from ``flip_form`` on first read. ``eigenvalues``
+    given so, else formed from ``flip_form`` on first read, which only the
+    dense path of ``build_steady_state`` does. ``eigenvalues``
     (ascending) calls ``np.linalg.eigvalsh`` the first time it is read, so
     a ``lowest`` pick that takes its states from a Lanczos run reads
     neither. No eigenvectors are held: ``build_steady_state`` computes
@@ -93,7 +90,7 @@ class EigDecomposition:
     """
 
     dense: np.ndarray | None = None
-    flip_form: FlipOperator | None = None  # where its flips number at most NONZERO_SHARE of the rows
+    flip_form: FlipOperator | None = None  # of every matrix of 2**L rows
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -118,14 +115,15 @@ def eig_hermitian(h: np.ndarray | FlipOperator) -> EigDecomposition:
 
     A dense matrix is wrapped as it is unless read-only or not of double
     precision, as ``build_steady_state`` shifts its diagonal and restores
-    it bit for bit. Of 2**L rows it gets its flip form, read off the XORs of
-    its nonzeros' rows and columns, where that is within NONZERO_SHARE:
-    byte for byte ``models.flip_form``'s, with the same products. A flip
-    form is checked flip by flip, each entry against its mirror, which
-    checks the whole matrix, as each nonzero lies in one flip with its
-    mirror; any other matrix is checked row strip against column strip. A
-    flip form given with more flips is formed dense at once. Raises
-    ValueError when the input is not square or fails ``_check_hermitian``.
+    it bit for bit. Of 2**L rows it also gets its flip form, read off the
+    XORs of its nonzeros' rows and columns: byte for byte
+    ``models.flip_form``'s, with the same products. A random dense complex
+    matrix has 2**L flips, whose form takes 1.5 times its bytes. A flip
+    form, given or derived, is kept and checked flip by flip, each entry
+    against its mirror, which checks the whole matrix, as each nonzero lies
+    in one flip with its mirror; any other matrix is checked row strip
+    against column strip. Raises ValueError when the input is not square
+    or fails ``_check_hermitian``.
     """
     if isinstance(h, FlipOperator):
         h, form = None, h
@@ -137,20 +135,17 @@ def eig_hermitian(h: np.ndarray | FlipOperator) -> EigDecomposition:
         if h.dtype != dtype or not h.flags.writeable:
             h = h.astype(dtype)
         dim, strips = h.shape[0], range(0, h.shape[0], HERMITIAN_CHECK_ROWS)
-        counts = np.zeros(dim, dtype=np.intp)  # rows per flip, of 2**L rows only, until they are too many
-        for i in strips:
-            if dim & (dim - 1) == 0 and np.count_nonzero(counts) <= NONZERO_SHARE * dim:
-                rows, cols = np.divmod(np.flatnonzero(h[i : i + HERMITIAN_CHECK_ROWS] != 0), dim)
-                counts += np.bincount((rows + i) ^ cols, minlength=dim)
-        counts[0] = 1  # the diagonal, zero or not
-        flips = np.flatnonzero(counts)
-        if dim & (dim - 1) or flips.size > NONZERO_SHARE * dim:
+        if dim & (dim - 1):
             _check_hermitian((h[i : i + HERMITIAN_CHECK_ROWS], h[:, i : i + HERMITIAN_CHECK_ROWS].T) for i in strips)
             return EigDecomposition(h)
+        seen = np.zeros(dim, dtype=bool)  # the flips of the nonzeros
+        seen[0] = True  # the diagonal, zero or not
+        for i in strips:
+            rows, cols = np.divmod(np.flatnonzero(h[i : i + HERMITIAN_CHECK_ROWS] != 0), dim)
+            seen[(rows + i) ^ cols] = True
+        flips = np.flatnonzero(seen)
         form = FlipOperator(flips, h[np.arange(dim), np.arange(dim) ^ flips[:, None]])
     _check_hermitian([(form.diags, np.take_along_axis(form.diags, form.sources, axis=1))])
-    if form.flips.size > NONZERO_SHARE * form.shape[0]:
-        return EigDecomposition(form.dense())
     return EigDecomposition(h, form)
 
 
@@ -198,7 +193,7 @@ def _start_vector(dim: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(dim)
 
 
-def _rayleigh_ritz(h: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rayleigh_ritz(h: np.ndarray | FlipOperator, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values, ascending, and orthonormal Ritz vectors of ``h`` on the
     span of the columns of ``cols``."""
     basis = np.linalg.qr(cols)[0]
@@ -251,7 +246,7 @@ def _picked_eigenvectors(h: np.ndarray, vals: np.ndarray, idx: np.ndarray) -> np
     return _rayleigh_ritz(h, np.stack(cols, axis=1))[1]
 
 
-def _lanczos(h: np.ndarray, q: int, max_steps: int) -> tuple[np.ndarray, float] | None:
+def _lanczos(h: FlipOperator, q: int, max_steps: int) -> tuple[np.ndarray, float] | None:
     """Ritz vectors of the q lowest eigenvalues of ``h`` from a Lanczos run.
 
     Lanczos (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) with full
@@ -292,7 +287,7 @@ def _lanczos(h: np.ndarray, q: int, max_steps: int) -> tuple[np.ndarray, float] 
         basis[m] = w / b
 
 
-def _certificate_factor(h: np.ndarray | FlipOperator, x: np.ndarray, c: float, s: float) -> list[tuple]:
+def _certificate_factor(h: FlipOperator, x: np.ndarray, c: float, s: float) -> list[tuple]:
     """Cholesky factor of W = h + c XX^H - sI in packed strips, with X = ``x``.
 
     Left-looking in strips of HERMITIAN_CHECK_ROWS columns. The diagonal
@@ -302,9 +297,8 @@ def _certificate_factor(h: np.ndarray | FlipOperator, x: np.ndarray, c: float, s
     the panel multiplied by the inverse of its conjugate transpose. Each
     strip keeps only the lower trapezoid of the factor: its diagonal block's
     lower triangle, packed by rows, and its panel. So neither a dense W nor
-    a dense XX^H is formed, and only the lower triangle of a dense ``h`` is
-    read. Returns ``(triangle, panel)`` per strip; raises LinAlgError, as
-    ``np.linalg.cholesky`` does, unless W is positive definite.
+    a dense XX^H is formed. Returns ``(triangle, panel)`` per strip; raises
+    LinAlgError, as ``np.linalg.cholesky`` does, unless W is positive definite.
     """
     dim = h.shape[0]
     y = c * x.conj().T
@@ -313,15 +307,12 @@ def _certificate_factor(h: np.ndarray | FlipOperator, x: np.ndarray, c: float, s
         e = min(j + HERMITIAN_CHECK_ROWS, dim)
         block = x[j:e] @ y[:, j:e]
         panel = x[e:] @ y[:, j:e]
-        if isinstance(h, np.ndarray):
-            block += h[j:e, j:e]
-            panel += h[e:, j:e]
-        else:  # each flip's entries of rows j:e: in the block, or conjugated in the panel
-            col, val = h.sources[:, j:e], h.diags[:, j:e]
-            r = np.broadcast_to(np.arange(e - j), col.shape)
-            inside, below = (col >= j) & (col < e), col >= e
-            block[r[inside], col[inside] - j] += val[inside]
-            panel[col[below] - e, r[below]] += val[below].conj()
+        # each flip's entries of rows j:e: in the block, or conjugated in the panel
+        col, val = h.sources[:, j:e], h.diags[:, j:e]
+        r = np.broadcast_to(np.arange(e - j), col.shape)
+        inside, below = (col >= j) & (col < e), col >= e
+        block[r[inside], col[inside] - j] += val[inside]
+        panel[col[below] - e, r[below]] += val[below].conj()
         block.flat[:: e - j + 1] -= s
         # the panel of the strip ending at column k holds rows k: of the factor
         for k, (_, done) in zip(range(HERMITIAN_CHECK_ROWS, j + 1, HERMITIAN_CHECK_ROWS), strips):
@@ -335,21 +326,21 @@ def _certificate_factor(h: np.ndarray | FlipOperator, x: np.ndarray, c: float, s
 
 
 def _krylov_lowest(eig: EigDecomposition, q: int) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The q lowest eigenpairs of H = ``eig.matrix`` and its spectral range, or None.
+    """The q lowest eigenpairs of H = ``eig.flip_form`` and its spectral range, or None.
 
     The pairs come from a Lanczos run and a q x q Rayleigh-Ritz step, both
-    multiplying through ``eig.flip_form`` where it is kept, and are returned
-    only when a certificate shows that no eigenvalue was missed: with X the
-    q Ritz vectors, theta_q the largest Ritz value and s = theta_q +
+    multiplying through H's flip form, and are returned only when a
+    certificate shows that no eigenvalue was missed: with X the q Ritz
+    vectors, theta_q the largest Ritz value and s = theta_q +
     DEGENERACY_RTOL * range, H + (2 range + 1) XX^H - s I is positive
     definite, that is Cholesky succeeds, only when H has no eigenvalue at
     or below s outside the span of X. It is factored in dense packed
-    strips, each formed from H (or its flip form), X and s when it is
-    reached (``_certificate_factor``): the certificate holds about half a
-    dense matrix, and H is only read. Returns ``(energies, states,
+    strips, each formed from the flip form, X and s when it is reached
+    (``_certificate_factor``): the certificate holds about half a dense
+    matrix, and no dense H is formed. Returns ``(energies, states,
     spread)``; None when the run does not converge or the certificate fails.
     """
-    op = eig.flip_form or eig.matrix
+    op = eig.flip_form
     run = _lanczos(op, q, eig.dim)
     if run is None:
         return None
@@ -384,8 +375,9 @@ def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest",
     takes the q smallest eigenvalues, ``random`` takes q distinct uniform
     picks. Probabilities are drawn uniformly from the simplex with a
     minimum pairwise gap of 1e-3. From dimension KRYLOV_MIN_DIM on, a
-    ``lowest`` pick takes its pairs and the spectral range from a certified
-    Lanczos run (``_krylov_lowest``). Otherwise, and whenever that run
+    ``lowest`` pick of a matrix of 2**L rows takes its pairs and the
+    spectral range from a certified Lanczos run through its flip form
+    (``_krylov_lowest``). Otherwise, and whenever that run
     fails to converge or to certify, every decision is made on the whole
     spectrum and eigenvectors are computed for the picked states only, by
     solves that shift the diagonal of ``eig.matrix`` in place and restore
@@ -401,7 +393,7 @@ def build_steady_state(eig: EigDecomposition, q: int, selection: str = "lowest",
     if selection not in SELECTION_POLICIES:
         raise ValueError(f"unknown selection policy {selection!r}; expected one of {SELECTION_POLICIES}")
     rng = np.random.default_rng(rng_seed)
-    krylov = _krylov_lowest(eig, q) if selection == "lowest" and dim >= KRYLOV_MIN_DIM else None
+    krylov = _krylov_lowest(eig, q) if selection == "lowest" and dim >= KRYLOV_MIN_DIM and eig.flip_form else None
     if krylov is None:
         idx = np.arange(q) if selection == "lowest" else np.sort(rng.choice(dim, size=q, replace=False))
         energies, spread = eig.eigenvalues[idx], eig.spectral_range

@@ -532,13 +532,14 @@ def test_routes_match_the_public_builders_bit_for_bit(model, L, q, sketched):
     assert np.array_equal(reports["eee"].eigenvalues, public["eee"].eigenvalues)
 
 
-@pytest.mark.parametrize("model,L,q", [("h3table", 9, 3), ("h2", 10, 2), ("h3table", 10, 3), ("h3", 9, 2)])
+@pytest.mark.parametrize("model,L,q", [("h3table", 9, 3), ("h2", 10, 2), ("h3table", 10, 3), ("h3", 9, 2),
+                                       ("h3table", 8, 3), ("h2prime", 8, 2), ("h3", 8, 1)])
 def test_draw_instance_matches_the_public_steady_state_bit_for_bit(model, L, q):
     # perfbench's traced replica draws through eig_hermitian of the dense H
     # and build_steady_state on the trial's own seed streams, where the
-    # program builds H's flip form from the term masks; at these cells both
-    # keep H's nonzeros in that flip form (h3 L=9 at exactly NONZERO_SHARE),
-    # and the states must not differ in a bit
+    # program builds H's flip form from the term masks; both multiply
+    # through that flip form, at L=8 too (h3table with 28 flips on 256
+    # rows), and the states must not differ in a bit
     basis, a_true, state, retry = harness.draw_instance(model, L, q, 1, 0, "lowest")
     param_stream, state_stream = trial_seed(1, model, L, q, 0, retry).spawn(2)
     assert np.array_equal(models.sample_params(basis, param_stream), a_true)

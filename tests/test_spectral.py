@@ -139,7 +139,7 @@ def test_failed_certificate_or_run_falls_back_to_dense(monkeypatch):
     w, vecs = np.linalg.eigh(h)
     real_lanczos = spectral._lanczos
     # a run that missed the third eigenvalue, and one stopped before convergence
-    assert real_lanczos(h, 3, 20) is None
+    assert real_lanczos(eig_hermitian(h).flip_form, 3, 20) is None
     fakes = (lambda h_, q, steps: (vecs[:, [0, 1, 3]], float(w[-1] - w[0])),
              lambda h_, q, steps: real_lanczos(h_, q, 20))
     for fake in fakes:
@@ -159,27 +159,19 @@ def test_failed_certificate_or_run_falls_back_to_dense(monkeypatch):
 
 
 def _same_decision(h, x, c, s):
-    """Factor W = h + c xx^H - sI both ways, densely and in packed strips;
-    assert they raise alike and, where they succeed, that the packed factor
-    reproduces W to round-off. Returns whether W was positive definite."""
+    """Factor W = h + c xx^H - sI both ways: densely by np.linalg.cholesky,
+    and in packed strips through the flip form eig_hermitian derives from
+    ``h``; assert they raise alike and, where they succeed, that the packed
+    factor reproduces W to round-off. Returns whether W was positive definite."""
     a = h + x @ (c * x.conj().T) - s * np.eye(h.shape[0])
     try:
         expected = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         expected = None
     try:
-        strips = spectral._certificate_factor(h, x, c, s)
+        strips = spectral._certificate_factor(eig_hermitian(h).flip_form, x, c, s)
     except np.linalg.LinAlgError:
         strips = None
-    form = eig_hermitian(h).flip_form
-    if form is not None:  # H's nonzeros in flip form give the same factor, bit for bit
-        try:
-            sparse = spectral._certificate_factor(form, x, c, s)
-        except np.linalg.LinAlgError:
-            sparse = None
-        assert (sparse is None) == (strips is None)
-        for got, want in zip(sparse or [], strips or []):
-            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     if strips is None:
         assert expected is None
         return False
@@ -201,17 +193,20 @@ def test_blocked_certificate_decides_as_cholesky():
     outcomes = []
     for kind, L in [("h2", 8), ("h3table", 8), ("h3table", 9)]:
         _, _, h = _random_instance(kind, L, seed=L)
+        form = eig_hermitian(h).flip_form
         lam = np.linalg.eigvalsh(h)
         for q in (1, 2, 3, 4):
-            ritz, spread = spectral._lanczos(h, q, h.shape[0])
-            states = spectral._rayleigh_ritz(h, ritz)[1]
+            ritz, spread = spectral._lanczos(form, q, h.shape[0])
+            states = spectral._rayleigh_ritz(form, ritz)[1]
             for shift in (lam[q - 1 : q + 1, None] + np.array([-1e-10, 1e-10]) * spread).ravel():
                 for c in (0.0, 2 * spread + 1):
                     outcomes.append(_same_decision(h, states, c, shift))
     assert 0 < sum(outcomes) < len(outcomes)
-    # random matrices whose last strip is short, on both sides of the cut
+    # random matrices, whose flip forms hold every flip, on both sides of
+    # the cut: of 64 rows, one strip short of HERMITIAN_CHECK_ROWS, and of
+    # 2 and 4 strips
     rng = np.random.default_rng(7)
-    for n in (300, 513):
+    for n in (64, 256, 512):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = a @ a.conj().T / n
         lam = np.linalg.eigvalsh(a)
@@ -424,50 +419,58 @@ def test_nonzeros_check_decides_as_the_dense_check():
 
 
 def test_nonzeros_decomposition_forms_the_dense_matrix_only_on_demand():
-    # above NONZERO_SHARE (h3table L=8, 28 flips on 256 rows) a flip form is
-    # formed dense at once, as eig_hermitian keeps no flip form there;
-    # below it the dense matrix is formed on first read, byte for byte
-    # assemble's
-    for L, kept in ((8, False), (9, True)):
+    # a flip form is kept however many flips it has, h3table L=8 (28 flips
+    # on 256 rows) among them; a lowest pick reads no dense matrix, and the
+    # dense matrix is formed on first read, byte for byte assemble's
+    for L in (8, 9):
         basis = enumerate_terms("h3table", L)
         coeffs = sample_params(basis, 1)
-        eig = eig_hermitian(flip_form(basis, coeffs))
-        assert (eig.flip_form is not None) == kept and (eig.dense is None) == kept
-        assert "matrix" not in vars(eig) or not kept
+        form = flip_form(basis, coeffs)
+        eig = eig_hermitian(form)
+        assert eig.flip_form is form and eig.dense is None
+        build_steady_state(eig, 3, "lowest", 0)
+        assert "matrix" not in vars(eig), L
         assert eig.matrix.tobytes() == assemble(basis, coeffs).tobytes()
         assert eig.matrix is eig.matrix and eig.matrix.flags.writeable
 
 
-def test_nonzeros_are_kept_up_to_their_share():
-    # NONZERO_SHARE = 1/16 keeps H's nonzeros in flip form, as many flips as
-    # nonzeros per row, for h2 from L=8 and h3table from L=9, whether H is
-    # given dense or in flip form; h3table at L=8, 28 flips on 256 rows,
-    # keeps its dense product. A derived form holds the XORs of the
-    # nonzeros' rows and columns, ascending, and each flip's entries
-    for kind, L, kept in [("h3table", 8, False), ("h2", 8, True), ("h3table", 9, True)]:
+def test_every_hamiltonian_of_2L_rows_keeps_its_flip_form():
+    # H keeps its flip form, as many flips as nonzeros per row, whether
+    # given dense or in flip form, at every family and length: h3table at
+    # L=8, 28 flips on 256 rows, as h2 at L=3 and h3table at L=9. A derived
+    # form holds the XORs of the nonzeros' rows and columns, ascending, and
+    # each flip's entries
+    for kind, L in [("h3table", 8), ("h2prime", 8), ("h3", 8), ("h2", 8), ("h3table", 9), ("h2", 3)]:
         basis, coeffs, h = _random_instance(kind=kind, L=L, seed=1)
         form = eig_hermitian(h).flip_form
-        assert (form is not None) == kept == (eig_hermitian(flip_form(basis, coeffs)).flip_form is not None), (kind, L)
-        if kept:
-            rows, cols = np.nonzero(h)
-            assert np.array_equal(form.flips, np.unique(rows ^ cols))
-            assert np.array_equal(form.sources, np.arange(h.shape[0]) ^ form.flips[:, None])
-            assert np.array_equal(form.diags, h[np.arange(h.shape[0]), form.sources])
+        built = flip_form(basis, coeffs)
+        assert eig_hermitian(built).flip_form is built
+        rows, cols = np.nonzero(h)
+        assert np.array_equal(form.flips, np.unique(rows ^ cols)), (kind, L)
+        assert np.array_equal(form.sources, np.arange(h.shape[0]) ^ form.flips[:, None])
+        assert np.array_equal(form.diags, h[np.arange(h.shape[0]), form.sources])
+
+
+def _spied_lanczos(monkeypatch):
+    """Record the operand of every Lanczos run from here on."""
+    operands, real_lanczos = [], spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda op, q, steps: operands.append(op) or real_lanczos(op, q, steps))
+    return operands
 
 
 @pytest.mark.parametrize("kind", ["h2", "h3table"])
 def test_nonzero_products_pick_the_dense_products_pairs(kind, monkeypatch):
     # at L=10 q=3 the Lanczos run and the Rayleigh-Ritz step multiply
-    # through H's nonzeros in flip form; the pairs agree with those of the dense product
-    # under the bounds of test_failed_certificate_or_run_falls_back_to_dense
+    # through H's flip form; the pairs agree with those of the dense path,
+    # which the decomposition without its flip form takes, under the bounds
+    # of test_failed_certificate_or_run_falls_back_to_dense
     _, _, h = _random_instance(kind=kind, L=10, seed=3)
     eig = eig_hermitian(h)
-    operands = []
-    real_lanczos = spectral._lanczos
-    monkeypatch.setattr(spectral, "_lanczos", lambda op, q, steps: operands.append(op) or real_lanczos(op, q, steps))
+    operands = _spied_lanczos(monkeypatch)
     state = build_steady_state(eig, 3, "lowest", 3)
-    expected = build_steady_state(dataclasses.replace(eig, flip_form=None), 3, "lowest", 3)
-    assert operands[0] is eig.flip_form and operands[1] is h
+    dense = dataclasses.replace(eig, flip_form=None)
+    expected = build_steady_state(dense, 3, "lowest", 3)
+    assert len(operands) == 1 and operands[0] is eig.flip_form and "eigenvalues" in vars(dense)
     w = np.linalg.eigvalsh(h)
     assert np.max(np.abs(state.energies - expected.energies)) <= 1e-12 * np.max(np.abs(w))
     assert np.max(np.abs(np.abs(expected.states.conj().T @ state.states) - np.eye(3))) <= 1e-10
@@ -499,24 +502,33 @@ def test_nonzero_product_gives_zero_on_an_empty_row():
     assert np.max(np.abs(np.abs(expected.states.conj().T @ state.states) - np.eye(3))) <= 1e-10
 
 
-def test_dense_input_keeps_the_dense_product(monkeypatch):
-    # a dense random Hermitian matrix, of 2**L rows or not, has no flip form
-    # within NONZERO_SHARE, and a sparse one of 300 rows none at all, so
-    # their Lanczos runs multiply through the matrix itself
+def test_dense_input_of_other_size_takes_the_dense_path(monkeypatch):
+    # a matrix of 300 rows, dense random or sparse, has no flip form, so its
+    # lowest pick runs no Lanczos and reads the whole spectrum
     rng = np.random.default_rng(8)
-    real_lanczos = spectral._lanczos
-    for n in (300, 512):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = a + a.conj().T
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    operands = _spied_lanczos(monkeypatch)
+    for h in (a + a.conj().T, np.diag(np.ones(299), 1) + np.diag(np.ones(299), -1)):
         eig = eig_hermitian(h)
         assert eig.flip_form is None
-        operands = []
-        monkeypatch.setattr(spectral, "_lanczos", lambda op, q, steps: operands.append(op) or real_lanczos(op, q, steps))
         state = build_steady_state(eig, 2, "lowest", 0)
-        assert len(operands) == 1 and operands[0] is h
-        assert "eigenvalues" not in vars(eig)  # the Lanczos path, not the dense one
-        assert np.max(np.abs(state.energies - np.linalg.eigvalsh(h)[:2])) <= 1e-12 * np.max(np.abs(h)) * n
-    assert eig_hermitian(np.diag(np.ones(299), 1) + np.diag(np.ones(299), -1)).flip_form is None
+        assert operands == [] and "eigenvalues" in vars(eig)
+        assert np.max(np.abs(state.energies - np.linalg.eigvalsh(h)[:2])) <= 1e-12 * np.max(np.abs(h)) * 300
+
+
+def test_random_dense_input_runs_lanczos_through_its_flip_form(monkeypatch):
+    # a dense random Hermitian matrix of 512 rows has all 512 flips, and its
+    # lowest pick multiplies through that derived form, reading no spectrum
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+    h = a + a.conj().T
+    eig = eig_hermitian(h)
+    assert np.array_equal(eig.flip_form.flips, np.arange(512))
+    operands = _spied_lanczos(monkeypatch)
+    state = build_steady_state(eig, 2, "lowest", 0)
+    assert len(operands) == 1 and operands[0] is eig.flip_form
+    assert "eigenvalues" not in vars(eig)  # the Lanczos path, not the dense one
+    assert np.max(np.abs(state.energies - np.linalg.eigvalsh(h)[:2])) <= 1e-12 * np.max(np.abs(h)) * 512
 
 
 def test_pure_state_is_projector():
